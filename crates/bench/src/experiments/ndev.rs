@@ -5,13 +5,12 @@
 //! The peer pays an up-front begin broadcast (kernel buffers over its own,
 //! slower link) before its first claim, so the third device only pays off
 //! once kernels are large enough to amortise it — the sizes here are double
-//! the check-sweep sizes for exactly that reason. Memory-bound kernels
-//! (GESUMMV, MVT) can *regress*: when the slow peer claims a range
-//! mid-descent, the contiguous covered suffix — the owner's single
-//! watermark, all the in-loop abort check can consult — stalls until the
-//! peer's results land, and the owner re-executes work-groups the CPU
-//! already shipped. The adaptive chunk controller bounds that tax; it
-//! cannot eliminate it without giving up the paper's one-comparison abort.
+//! the check-sweep sizes for exactly that reason. Most of the 3dev/2dev
+//! difference is not the peer's work but the paper's CPU-finish shortcut
+//! (§4.2): only a CPU that is the sole non-owner may finish a kernel
+//! alone and skip the device-to-host transfer, so with a peer every
+//! kernel completes through the owner's merge. That is what moves BICG,
+//! CORR, GESUMMV and MVT; SYR2K is the clear peer win.
 
 use fluidicl::FluidiclConfig;
 use fluidicl_des::geomean;
@@ -82,8 +81,9 @@ pub(super) fn run(_machine: &MachineConfig) -> ExperimentResult {
         notes: vec![format!(
             "3-device total virtual time beats 2-device on {wins} of 9 \
              benchmarks (geomean 3dev/2dev {g:.3}); the peer helps once its \
-             begin broadcast amortises, and taxes memory-bound kernels \
-             whose watermark it gates."
+             begin broadcast amortises, and with a peer the CPU can no \
+             longer finish a kernel alone (the §4.2 shortcut), which moves \
+             BICG, CORR, GESUMMV and MVT either way."
         )],
     }
 }

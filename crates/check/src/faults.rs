@@ -16,6 +16,7 @@
 //! line-per-record JSON style as `BENCH_repro.json`.
 
 use fluidicl::{Fluidicl, FluidiclConfig, KernelReport, RecoveryPolicy, TraceKind};
+use fluidicl_des::SimTime;
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::{all_benchmarks, BenchmarkSpec};
 use fluidicl_vcl::{ClError, FaultKind, FaultPlan};
@@ -126,10 +127,7 @@ fn first_fault_ns(report: &KernelReport) -> Option<u64> {
         .find(|ev| {
             matches!(
                 ev.kind,
-                TraceKind::TransferFault { .. }
-                    | TraceKind::TransferRejected { .. }
-                    | TraceKind::TransferTimeout { .. }
-                    | TraceKind::DeviceLost { .. }
+                TraceKind::DeviceLost
                     | TraceKind::NonOwnerLost { .. }
                     | TraceKind::EpTransferFault { .. }
                     | TraceKind::EpTransferRejected { .. }
@@ -552,22 +550,33 @@ fn transient_run(b: &BenchmarkSpec, plan_seed: u64, shrink: bool) -> (u64, u64, 
         b.name
     );
     let merged = rt.reports().iter().map(|r| r.cpu_merged_wgs).sum();
+    let at_risk = rt
+        .reports()
+        .iter()
+        .map(post_fault_at_risk)
+        .max()
+        .unwrap_or(0);
+    (merged, at_risk, rt.fault_fired())
+}
+
+/// The largest subkernel (in work-groups) that the endpoint whose link
+/// took the kernel's first transient transfer fault launched at or after
+/// that fault; 0 when the kernel had no such fault or launch.
+fn post_fault_at_risk(report: &KernelReport) -> u64 {
+    let mut fault: Option<(SimTime, u32)> = None;
     let mut at_risk = 0u64;
-    for r in rt.reports() {
-        let mut fault_at = None;
-        for ev in &r.trace {
-            match ev.kind {
-                TraceKind::TransferFault { .. } if fault_at.is_none() => fault_at = Some(ev.at),
-                TraceKind::CpuSubkernelStart { from, to, .. }
-                    if fault_at.is_some_and(|f| ev.at >= f) =>
-                {
-                    at_risk = at_risk.max(to.saturating_sub(from));
-                }
-                _ => {}
+    for ev in &report.trace {
+        match ev.kind {
+            TraceKind::EpTransferFault { dev, .. } if fault.is_none() => fault = Some((ev.at, dev)),
+            TraceKind::EpSubkernelStart { dev, from, to, .. }
+                if fault.is_some_and(|(at, d)| d == dev && ev.at >= at) =>
+            {
+                at_risk = at_risk.max(to.saturating_sub(from));
             }
+            _ => {}
         }
     }
-    (merged, at_risk, rt.fault_fired())
+    at_risk
 }
 
 /// Runs the chunk-shrink comparison over every benchmark × `seeds` seed
@@ -776,6 +785,23 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(seeds.len(), dedup.len(), "cell seeds must not collide");
+    }
+
+    #[test]
+    fn transient_cell_finds_its_post_fault_at_risk_subkernel() {
+        // A two-device SYRK cell of the 8-seed sweep: the transient fault
+        // fires on the CPU's link, and the shrink halves the next claim,
+        // so the post-fault at-risk subkernel drops from 10 to 8
+        // work-groups.
+        let b = all_benchmarks()
+            .into_iter()
+            .find(|b| b.name == "SYRK")
+            .expect("SYRK is in the suite");
+        let ps = 5_816_766_591_397_920_924;
+        let (_, with_shrink, fired) = transient_run(&b, ps, true);
+        let (_, without_shrink, _) = transient_run(&b, ps, false);
+        assert!(fired, "the transient fault must fire");
+        assert_eq!((with_shrink, without_shrink), (8, 10));
     }
 
     #[test]

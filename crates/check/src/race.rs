@@ -17,14 +17,15 @@
 //!   FluidiCL protocol — only writes, messages, merges and reads over
 //!   per-endpoint buffer copies;
 //! * a **trace lowering** ([`race_check_report`]) that maps a
-//!   [`KernelReport`]'s trace onto the engine: GPU waves and CPU subkernels
-//!   become writes (their element footprints computed symbolically from
-//!   the kernel's [`AccessPattern`](fluidicl_vcl::AccessPattern)
-//!   declarations via [`KernelDef::write_footprints`] — no replay), data
-//!   sends and status arrivals become the message edges of the in-order hd
-//!   queue, fault events void exactly the transfer they damaged, and the
-//!   diff-merge and the finisher's final read become [`HbOp::Merge`] /
-//!   [`HbOp::Read`] checks.
+//!   [`KernelReport`]'s trace onto the engine, one lowering for every
+//!   device count: owner waves and endpoint subkernels become writes (their
+//!   element footprints computed symbolically from the kernel's
+//!   [`AccessPattern`](fluidicl_vcl::AccessPattern) declarations via
+//!   [`KernelDef::write_footprints`] — no replay), data sends and status
+//!   arrivals become the message edges of each endpoint's in-order link,
+//!   fault events void exactly the transfer they damaged, and the
+//!   diff-merge of every arrived claim and the finisher's final read
+//!   become [`HbOp::Merge`] / [`HbOp::Read`] checks.
 //!
 //! Writes land in per-endpoint device copies, so duplicated work — the GPU
 //! recomputing a range the CPU also computed, which the paper's protocol
@@ -35,7 +36,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use fluidicl::{Finisher, KernelReport, LaunchMeta, LintDiagnostic, TraceKind};
-use fluidicl_vcl::{DeviceKind, DirtyRanges, KernelDef};
+use fluidicl_vcl::{DirtyRanges, KernelDef};
 
 /// Engine endpoint index of the merge owner (the GPU lane of a FluidiCL
 /// trace): it receives contributions and runs the diff-merge.
@@ -453,9 +454,8 @@ pub fn race_check_report(kernel: &KernelDef, report: &KernelReport) -> Vec<LintD
         )];
     }
     let events = lower_trace(kernel, meta, report);
-    // Legacy two-device traces use endpoints {OWNER, CONTRIB}; an N-device
-    // trace adds one engine endpoint per peer GPU (ep `dev` lowers to
-    // engine endpoint `dev + 1`, so ep0 — the CPU — stays CONTRIB).
+    // Endpoint `dev` lowers to engine endpoint `dev + 1`: ep0 — the CPU —
+    // is CONTRIB, and every peer GPU adds one more.
     let endpoints = 2 + report
         .trace
         .iter()
@@ -465,8 +465,7 @@ pub fn race_check_report(kernel: &KernelDef, report: &KernelReport) -> Vec<LintD
     check_hb(endpoints, meta.out_lens.len(), &events)
 }
 
-/// The endpoint index of a multi-device trace event, `None` for the legacy
-/// two-device vocabulary. Any `Some` in a trace marks it as multi-device.
+/// The non-owner endpoint a trace event names, `None` for owner events.
 fn ep_dev(kind: &TraceKind) -> Option<u32> {
     match *kind {
         TraceKind::EpSubkernelStart { dev, .. }
@@ -482,13 +481,6 @@ fn ep_dev(kind: &TraceKind) -> Option<u32> {
         | TraceKind::EpDegradedRun { dev, .. }
         | TraceKind::GraphRun { dev, .. } => Some(dev),
         _ => None,
-    }
-}
-
-fn endpoint_of_device(d: DeviceKind) -> usize {
-    match d {
-        DeviceKind::Gpu => OWNER,
-        DeviceKind::Cpu => CONTRIB,
     }
 }
 
@@ -508,26 +500,32 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
             .write_footprints(&meta.ndrange, &meta.scalars, &meta.out_lens, from, to)
             .expect("checked by has_write_footprints")
     };
-    // The merge covers everything above the *final* watermark — the lowest
-    // status boundary that ever arrived (paper §4.3).
-    let final_wm = report
+    let union_fp = |a: Vec<DirtyRanges>, b: &[DirtyRanges]| -> Vec<DirtyRanges> {
+        a.iter().zip(b).map(|(x, y)| x.union(y)).collect()
+    };
+    // The owner's final watermark: the lowest one any status of the final
+    // ownership epoch reported (a promotion rebuilds coverage, so earlier
+    // epochs' statuses no longer describe what the acting owner skips).
+    // The owner skips everything above it, so the merge must cover it.
+    let last_promotion = report
         .trace
         .iter()
+        .rposition(|e| matches!(e.kind, TraceKind::OwnerPromoted { .. }))
+        .map_or(0, |i| i + 1);
+    let final_wm = report.trace[last_promotion..]
+        .iter()
         .filter_map(|e| match e.kind {
-            TraceKind::StatusArrived { boundary } => Some(boundary),
+            TraceKind::EpStatus { watermark, .. } => Some(watermark),
             _ => None,
         })
         .min()
         .unwrap_or(total);
-    let union_fp = |a: Vec<DirtyRanges>, b: &[DirtyRanges]| -> Vec<DirtyRanges> {
-        a.iter().zip(b).map(|(x, y)| x.union(y)).collect()
-    };
 
     // `Option` slots so a voided (faulted) send can be removed after the
     // fact: a transfer that never delivered carries no edge.
     let mut events: Vec<Option<HbEvent>> = Vec::new();
     // Completed-but-unshipped subkernels per non-owner endpoint, oldest
-    // first (legacy CPU events use endpoint 0).
+    // first.
     let mut completed: HashMap<u32, VecDeque<(u64, u64)>> = HashMap::new();
     // In-flight sends of each endpoint's in-order upstream queue: (event
     // slot, boundary, message id, shipped footprints). The k-th status from
@@ -537,9 +535,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
     // Shipped footprints by (endpoint, boundary), so a faulted transfer's
     // re-send (same batch, new attempt) reuses the recorded ranges.
     let mut sent_ranges: HashMap<(u32, u64), Vec<DirtyRanges>> = HashMap::new();
-    // Union of footprints whose status arrived at the owner — what a
-    // multi-device merge covers (claim islands below the watermark merge
-    // too, unlike the legacy suffix-only merge).
+    // Union of footprints whose status arrived at the owner — what the
+    // merge covers. With the CPU alone that is the suffix above the final
+    // watermark (paper §4.3); with peers, claim islands below it merge too.
     let mut delivered: Vec<DirtyRanges> = vec![DirtyRanges::empty(); meta.out_lens.len()];
     // Accepted sends per endpoint: (send event slot, shipped footprints).
     // Owner failover rolls the promoted endpoint's prior contributions
@@ -553,10 +551,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
     // (BTreeMap so the synthesized fold messages are deterministic).
     let mut peer_written: BTreeMap<u32, Vec<DirtyRanges>> = BTreeMap::new();
     let mut lost_devs: Vec<u32> = Vec::new();
-    // A peer-degraded run reads its result at the surviving peer's
-    // endpoint, not at the (dead) owner.
-    let mut degraded_peer: Option<u32> = None;
-    let multi = report.trace.iter().any(|e| ep_dev(&e.kind).is_some());
+    // A lone run on a non-owner endpoint (a degraded survivor or a graph
+    // node) reads its result at that endpoint, not at the owner.
+    let mut lone_endpoint: Option<u32> = None;
     let mut next_msg = 0u64;
 
     for ev in &report.trace {
@@ -571,104 +568,6 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                         ranges: fp(*from, *executed_to),
                     },
                 )));
-            }
-            TraceKind::CpuSubkernelDone { from, to } => {
-                events.push(Some(HbEvent::new(
-                    CONTRIB,
-                    format!("subkernel {from}..{to}"),
-                    HbOp::Write {
-                        ranges: fp(*from, *to),
-                    },
-                )));
-                completed.entry(0).or_default().push_back((*from, *to));
-            }
-            TraceKind::HdEnqueued { boundary, .. } => {
-                let q = completed.entry(0).or_default();
-                let ranges = if let Some(pos) = q.iter().position(|(f, _)| f == boundary) {
-                    let (f, t) = q.remove(pos).expect("position exists");
-                    fp(f, t)
-                } else if let Some(r) = sent_ranges.get(&(0, *boundary)) {
-                    // Re-send of a faulted batch: same data, new attempt.
-                    r.clone()
-                } else {
-                    // Malformed trace (the linter flags the shape); ship
-                    // nothing so coverage checks surface the damage.
-                    vec![DirtyRanges::empty(); meta.out_lens.len()]
-                };
-                sent_ranges.insert((0, *boundary), ranges.clone());
-                let slot = events.len();
-                events.push(Some(HbEvent::new(
-                    CONTRIB,
-                    format!("send boundary {boundary}"),
-                    HbOp::Send {
-                        msg: next_msg,
-                        ranges: ranges.clone(),
-                    },
-                )));
-                fifo.entry(0)
-                    .or_default()
-                    .push_back((slot, *boundary, next_msg, ranges));
-                next_msg += 1;
-            }
-            TraceKind::CoalescedSend {
-                boundary,
-                subkernels,
-                ..
-            } => {
-                let q = completed.entry(0).or_default();
-                let mut ranges = vec![DirtyRanges::empty(); meta.out_lens.len()];
-                if q.len() >= *subkernels as usize
-                    && q.iter().take(*subkernels as usize).map(|(f, _)| *f).min() == Some(*boundary)
-                {
-                    for _ in 0..*subkernels {
-                        let (f, t) = q.pop_front().expect("length checked");
-                        ranges = union_fp(ranges, &fp(f, t));
-                    }
-                } else if let Some(r) = sent_ranges.get(&(0, *boundary)) {
-                    ranges = r.clone();
-                }
-                sent_ranges.insert((0, *boundary), ranges.clone());
-                let slot = events.len();
-                events.push(Some(HbEvent::new(
-                    CONTRIB,
-                    format!("coalesced send boundary {boundary}"),
-                    HbOp::Send {
-                        msg: next_msg,
-                        ranges: ranges.clone(),
-                    },
-                )));
-                fifo.entry(0)
-                    .or_default()
-                    .push_back((slot, *boundary, next_msg, ranges));
-                next_msg += 1;
-            }
-            TraceKind::TransferFault { boundary, .. }
-            | TraceKind::TransferRejected { boundary }
-            | TraceKind::TransferTimeout { boundary } => {
-                // The damaged transfer never delivered: void its send so it
-                // carries no edge (and no longer occupies the ack queue).
-                // Faults excuse exactly their own damage — nothing else.
-                let q = fifo.entry(0).or_default();
-                if let Some(pos) = q.iter().position(|(_, b, _, _)| b == boundary) {
-                    let (slot, ..) = q.remove(pos).expect("position exists");
-                    events[slot] = None;
-                }
-            }
-            TraceKind::StatusArrived { .. } => {
-                // In-order queue: the status acknowledges the oldest
-                // un-acked send, whatever boundary it claims (a forged
-                // boundary shows up as a stale or premature merge).
-                let msg = fifo
-                    .entry(0)
-                    .or_default()
-                    .pop_front()
-                    .map(|(_, _, m, _)| m)
-                    .unwrap_or_else(|| {
-                        let m = next_msg;
-                        next_msg += 1;
-                        m
-                    });
-                events.push(Some(HbEvent::new(OWNER, "status ack", HbOp::Recv { msg })));
             }
             TraceKind::EpSubkernelDone { dev, from, to } => {
                 let ranges = fp(*from, *to);
@@ -802,7 +701,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 next_msg += 1;
             }
             TraceKind::EpDegradedRun { dev, from, to } => {
-                degraded_peer = Some(*dev);
+                lone_endpoint = Some(*dev);
                 events.push(Some(HbEvent::new(
                     *dev as usize + 1,
                     format!("ep{dev} degraded run {from}..{to}"),
@@ -820,7 +719,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 // A graph node runs whole on one endpoint, like a
                 // peer-degraded span: its writes happen there and the final
                 // read joins on the same endpoint.
-                degraded_peer = Some(*dev);
+                lone_endpoint = Some(*dev);
                 events.push(Some(HbEvent::new(
                     *dev as usize + 1,
                     format!("ep{dev} graph node {node} {from}..{to}"),
@@ -830,25 +729,25 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 )));
             }
             TraceKind::MergeDone => {
-                // Legacy merge covers the contiguous suffix above the final
-                // watermark; a multi-device merge covers exactly what
-                // arrived — islands from a fast peer merge too.
-                let (label, ranges) = if multi {
-                    (
-                        "diff-merge of arrived claims".to_string(),
-                        delivered.clone(),
-                    )
+                // The merge covers every arrived claim — islands below the
+                // watermark from a fast peer too — and the suffix above the
+                // final watermark, which the owner's walk skipped. In a
+                // well-formed trace the suffix is made of arrived claims;
+                // with the CPU alone it is the whole merge region (§4.3).
+                let ranges = if final_wm < total {
+                    union_fp(delivered.clone(), &fp(final_wm, total))
                 } else {
-                    (
-                        format!("diff-merge {final_wm}..{total}"),
-                        fp(final_wm, total),
-                    )
+                    delivered.clone()
                 };
-                events.push(Some(HbEvent::new(OWNER, label, HbOp::Merge { ranges })));
-            }
-            TraceKind::DegradedRun { device, from, to } => {
                 events.push(Some(HbEvent::new(
-                    endpoint_of_device(*device),
+                    OWNER,
+                    format!("diff-merge of arrived claims and {final_wm}..{total}"),
+                    HbOp::Merge { ranges },
+                )));
+            }
+            TraceKind::DegradedRun { from, to } => {
+                events.push(Some(HbEvent::new(
+                    OWNER,
                     format!("degraded run {from}..{to}"),
                     HbOp::Write {
                         ranges: fp(*from, *to),
@@ -856,11 +755,13 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 )));
             }
             TraceKind::KernelComplete { finisher } => {
-                if multi && *finisher == Finisher::Cpu {
-                    // Owner-GPU loss: the host folds each surviving peer's
-                    // memory into its own copy before the final read. Model
-                    // the fold as one join message per peer carrying its
-                    // cumulative writes, merged at the host endpoint.
+                if *finisher == Finisher::Cpu {
+                    // The host holds the final data (the sole CPU finished
+                    // first, or the owner GPU was lost): it folds each
+                    // surviving peer's memory into its own copy before the
+                    // final read. Model the fold as one join message per
+                    // peer carrying its cumulative writes, merged at the
+                    // host endpoint.
                     let mut folded = vec![DirtyRanges::empty(); meta.out_lens.len()];
                     for (dev, ranges) in &peer_written {
                         if lost_devs.contains(dev) {
@@ -890,9 +791,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                         )));
                     }
                 }
-                let read_ep = match degraded_peer {
-                    // Peer-degraded run: the data only exists on the
-                    // surviving peer; the final read happens there.
+                let read_ep = match lone_endpoint {
+                    // Lone run on a non-owner: the data only exists
+                    // there; the final read happens there.
                     Some(dev) => dev as usize + 1,
                     None => endpoint_of_finisher(*finisher),
                 };

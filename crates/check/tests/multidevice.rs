@@ -1,5 +1,5 @@
 //! Integration tests for N-way co-execution: output correctness and trace
-//! hygiene on the three-device machine, byte-identity of the degenerate
+//! hygiene on the three-device machine, byte-identity of the device-capped
 //! two-device configuration, the N=3-beats-N=2 virtual-time claim, and the
 //! `cpu_version_used` propagation on degraded runs.
 
@@ -11,23 +11,23 @@ use fluidicl_vcl::{
     ArgRole, ArgSpec, ClDriver, FaultKind, FaultPlan, KernelArg, KernelDef, NdRange, Program,
 };
 
-/// Whether a report's trace uses the multi-device (Ep*) vocabulary.
-fn is_multi(report: &KernelReport) -> bool {
+/// Whether a report's trace names a peer-GPU endpoint (endpoint ≥ 1).
+fn names_a_peer(report: &KernelReport) -> bool {
     report.trace.iter().any(|e| {
         matches!(
             e.kind,
-            TraceKind::EpSubkernelStart { .. }
-                | TraceKind::EpSubkernelDone { .. }
-                | TraceKind::EpSend { .. }
-                | TraceKind::EpStatus { .. }
-                | TraceKind::NonOwnerLost { .. }
+            TraceKind::EpSubkernelStart { dev, .. }
+                | TraceKind::EpSubkernelDone { dev, .. }
+                | TraceKind::EpSend { dev, .. }
+                | TraceKind::EpStatus { dev, .. }
+                | TraceKind::NonOwnerLost { dev } if dev > 0
         )
     })
 }
 
 /// Every Polybench benchmark on the three-device machine must match its
-/// sequential reference, emit multi-device traces, and pass the
-/// happens-before race check on every kernel.
+/// sequential reference, co-execute every kernel with the peer endpoint,
+/// and pass the happens-before race check on every kernel.
 #[test]
 fn three_device_coexecution_matches_references() {
     let machine = MachineConfig::paper_testbed_3dev();
@@ -40,9 +40,10 @@ fn three_device_coexecution_matches_references() {
         let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
         assert!(ok, "{}: 3-device run diverged from reference", b.name);
         for report in rt.reports() {
-            assert!(
-                is_multi(report),
-                "{} kernel `{}`: expected multi-device trace vocabulary",
+            assert_eq!(
+                report.peer_executed_wgs.len(),
+                1,
+                "{} kernel `{}`: expected the peer endpoint to co-execute",
                 b.name,
                 report.kernel
             );
@@ -63,8 +64,8 @@ fn three_device_coexecution_matches_references() {
     );
 }
 
-/// `with_devices(2)` on the three-device machine must degenerate to the
-/// paper's two-device protocol exactly: every kernel's rendered timeline is
+/// `with_devices(2)` on the three-device machine must reduce to the paper's
+/// two-device protocol exactly: every kernel's rendered timeline is
 /// byte-identical to a run on the plain paper testbed.
 #[test]
 fn two_device_cap_reproduces_paper_testbed_traces() {
@@ -88,7 +89,10 @@ fn two_device_cap_reproduces_paper_testbed_traces() {
             .unwrap());
         assert_eq!(two.reports().len(), capped.reports().len());
         for (a, c) in two.reports().iter().zip(capped.reports()) {
-            assert!(!is_multi(c), "capped run must use the legacy vocabulary");
+            assert!(
+                !names_a_peer(c),
+                "capped run must never name a peer endpoint"
+            );
             assert_eq!(
                 render_timeline(&a.kernel, &a.trace),
                 render_timeline(&c.kernel, &c.trace),
@@ -108,10 +112,10 @@ fn two_device_cap_reproduces_paper_testbed_traces() {
 /// pays an up-front begin broadcast over its slower link, so the win only
 /// materialises once kernels are large enough to amortise it (the paper's
 /// scaling argument, §7). The regression bound is deliberately loose:
-/// memory-bound kernels (GESUMMV, MVT) pay a watermark-gating tax when the
-/// slow peer claims a range mid-descent and delays the contiguous covered
-/// suffix; the adaptive chunker bounds that tax but cannot eliminate it
-/// under the paper's single-watermark in-loop abort.
+/// with a peer the CPU can no longer finish a kernel alone (the §4.2
+/// shortcut needs the CPU to be the sole non-owner), so kernels where the
+/// CPU used to win outright (GESUMMV, MVT) now complete through the merge
+/// and its device-to-host transfer.
 #[test]
 fn three_devices_beat_two_on_virtual_time() {
     let mut faster = Vec::new();
@@ -228,7 +232,7 @@ fn degraded_runs_report_the_selected_version() {
         let Some(first_degraded) = reports.iter().position(|r| {
             r.trace
                 .iter()
-                .any(|e| matches!(e.kind, TraceKind::DegradedRun { .. }))
+                .any(|e| matches!(e.kind, TraceKind::EpDegradedRun { dev: 0, .. }))
         }) else {
             continue 'seeds;
         };

@@ -102,17 +102,17 @@ fn cooperative_base() -> (Arc<KernelDef>, KernelReport) {
         let defs = (b.program)(n);
         for report in rt.reports() {
             let subs = count(&report.trace, |k| {
-                matches!(k, TraceKind::CpuSubkernelDone { .. })
+                matches!(k, TraceKind::EpSubkernelDone { dev: 0, .. })
             });
             let acks = count(&report.trace, |k| {
-                matches!(k, TraceKind::StatusArrived { .. })
+                matches!(k, TraceKind::EpStatus { dev: 0, .. })
             });
             let merges = count(&report.trace, |k| matches!(k, TraceKind::MergeDone));
             let wm = report
                 .trace
                 .iter()
                 .filter_map(|e| match e.kind {
-                    TraceKind::StatusArrived { boundary } => Some(boundary),
+                    TraceKind::EpStatus { watermark, .. } => Some(watermark),
                     _ => None,
                 })
                 .min();
@@ -141,7 +141,7 @@ fn final_watermark(report: &KernelReport) -> u64 {
         .trace
         .iter()
         .filter_map(|e| match e.kind {
-            TraceKind::StatusArrived { boundary } => Some(boundary),
+            TraceKind::EpStatus { watermark, .. } => Some(watermark),
             _ => None,
         })
         .min()
@@ -171,7 +171,7 @@ fn mutation_merge_before_data_arrival_is_flagged() {
     let last_ack = report
         .trace
         .iter()
-        .rposition(|e| matches!(e.kind, TraceKind::StatusArrived { .. }))
+        .rposition(|e| matches!(e.kind, TraceKind::EpStatus { .. }))
         .expect("has acks");
     let merge = position(&report.trace, |k| matches!(k, TraceKind::MergeDone)).expect("has merge");
     assert!(last_ack < merge, "clean trace acks before merging");
@@ -198,23 +198,30 @@ fn mutation_overlapping_subkernel_writes_is_flagged() {
     // CPU subkernels descend: the first completion covers the highest
     // range and the second ends exactly where the first starts.
     let first = position(&report.trace, |k| {
-        matches!(k, TraceKind::CpuSubkernelDone { .. })
+        matches!(k, TraceKind::EpSubkernelDone { .. })
     })
     .expect("has subkernels");
-    let TraceKind::CpuSubkernelDone { from: f1, to: t1 } = report.trace[first].kind else {
+    let TraceKind::EpSubkernelDone {
+        from: f1, to: t1, ..
+    } = report.trace[first].kind
+    else {
         unreachable!()
     };
     let second = report.trace[first + 1..]
         .iter()
-        .position(|e| matches!(e.kind, TraceKind::CpuSubkernelDone { .. }))
+        .position(|e| matches!(e.kind, TraceKind::EpSubkernelDone { .. }))
         .map(|i| first + 1 + i)
         .expect("has a second subkernel");
-    let TraceKind::CpuSubkernelDone { from: f2, to: t2 } = report.trace[second].kind else {
+    let TraceKind::EpSubkernelDone {
+        from: f2, to: t2, ..
+    } = report.trace[second].kind
+    else {
         unreachable!()
     };
     assert_eq!(t2, f1, "descending subkernels are contiguous");
     // Extend the second subkernel one work-group into the first's range.
-    report.trace[second].kind = TraceKind::CpuSubkernelDone {
+    report.trace[second].kind = TraceKind::EpSubkernelDone {
+        dev: 0,
         from: f2,
         to: t2 + 1,
     };
@@ -234,17 +241,10 @@ fn mutation_overlapping_subkernel_writes_is_flagged() {
 fn mutation_status_ack_reorder_is_flagged() {
     let (kdef, base) = cooperative_base();
     let mut report = base.clone();
-    let first_ack = position(&report.trace, |k| {
-        matches!(k, TraceKind::StatusArrived { .. })
-    })
-    .expect("has acks");
-    let first_send = position(&report.trace, |k| {
-        matches!(
-            k,
-            TraceKind::HdEnqueued { .. } | TraceKind::CoalescedSend { .. }
-        )
-    })
-    .expect("has sends");
+    let first_ack =
+        position(&report.trace, |k| matches!(k, TraceKind::EpStatus { .. })).expect("has acks");
+    let first_send =
+        position(&report.trace, |k| matches!(k, TraceKind::EpSend { .. })).expect("has sends");
     assert!(first_send < first_ack, "clean trace sends before acking");
     let ack = report.trace.remove(first_ack);
     report.trace.insert(first_send, ack);
@@ -268,9 +268,13 @@ fn mutation_stale_snapshot_read_is_flagged() {
     let stale_ack = report
         .trace
         .iter()
-        .position(|e| matches!(e.kind, TraceKind::StatusArrived { boundary } if boundary == wm))
+        .position(|e| matches!(e.kind, TraceKind::EpStatus { watermark, .. } if watermark == wm))
         .expect("watermark ack exists");
-    report.trace[stale_ack].kind = TraceKind::StatusArrived { boundary: 0 };
+    report.trace[stale_ack].kind = TraceKind::EpStatus {
+        dev: 0,
+        boundary: 0,
+        watermark: 0,
+    };
     let flagged = rules(&kdef, &report);
     assert!(
         flagged.contains(&"race-stale-read"),

@@ -22,9 +22,9 @@
 //! * when the owner reaches the watermark it exits and a **diff-merge**
 //!   folds each endpoint's results into the owner's buffers as a merge
 //!   tree (§4.3) — one endpoint makes that the paper's single merge;
-//! * if the non-owners compute the whole NDRange first (two-device mode),
-//!   the CPU copy is authoritative and no device-to-host transfer is
-//!   needed (§4.2, §6.2);
+//! * if the CPU is the sole non-owner and computes the whole NDRange
+//!   first, its copy is authoritative and no device-to-host transfer is
+//!   needed (§4.2, §6.2) — the one place the endpoint count matters;
 //! * with a pipeline depth ≥ 2 an endpoint starts subkernel *k+1* while
 //!   subkernel *k*'s data + status is still being staged and shipped, and
 //!   copies that complete while its link is busy are coalesced into one
@@ -316,11 +316,8 @@ struct EpState {
 pub(crate) struct Coexec<'a> {
     input: CoexecInput<'a>,
     /// Non-owner endpoints: `eps[0]` is always the CPU, the rest peers.
+    /// With the CPU alone the engine is the paper's two-device protocol.
     eps: Vec<EpState>,
-    /// More than one non-owner: dev-tagged trace vocabulary and the
-    /// merge-everything completion rule. With a single endpoint the engine
-    /// degenerates to the paper's two-device protocol, byte-for-byte.
-    multi: bool,
     /// One staging-copy engine per endpoint, each one copy at a time.
     staging: ChannelBank,
     // Geometry.
@@ -502,12 +499,10 @@ impl<'a> Coexec<'a> {
                 wgs_executed: 0,
             });
         }
-        let multi = eps.len() > 1;
         let staging = ChannelBank::new(eps.len(), SimTime::ZERO);
         let dh_free = input.dh_free;
         Ok(Coexec {
             eps,
-            multi,
             staging,
             total,
             items,
@@ -745,12 +740,7 @@ impl<'a> Coexec<'a> {
             // acting owner's walk re-covers them.
             self.eps[p].lost = true;
         }
-        self.record(
-            t,
-            TraceKind::DeviceLost {
-                device: DeviceKind::Gpu,
-            },
-        );
+        self.record(t, TraceKind::DeviceLost);
         // Owner failover (epoch-fenced): promote the lowest surviving peer
         // to owner instead of abandoning the run to survivor-finishes.
         if self.input.config.recovery.promote_on_owner_loss {
@@ -1004,36 +994,13 @@ impl<'a> Coexec<'a> {
                 Some(m) => m,
                 None => self.input.gpu_mem,
             };
-            for (j, (id, orig)) in self.orig_snapshots.iter().enumerate() {
-                let src = src_mem.get(*id)?;
-                let dst = gpu_mem.get_mut(*id)?;
-                if dst.len() != src.len() || src.len() != orig.len() {
-                    // A mis-sized buffer mid-simulation is a protocol breach,
-                    // not a programming error in the merge itself: surface it
-                    // through the runtime's error path instead of panicking.
-                    return Err(ClError::ProtocolViolation {
-                        kernel: self.input.launch.kernel.name().to_string(),
-                        detail: format!(
-                            "diff-merge size mismatch on buffer {}: gpu {} vs cpu {} vs original {} elements",
-                            id.0,
-                            dst.len(),
-                            src.len(),
-                            orig.len()
-                        ),
-                    });
-                }
-                // With dirty tracking the merge walks only what the
-                // endpoint actually changed; `cum_dirty` covers every
-                // element where its copy differs from `orig` (exactly, or
-                // rounded to pages on huge buffers — the extra elements are
-                // bitwise clean), so this is functionally identical to the
-                // full-buffer merge.
-                if self.dirty_enabled {
-                    diff_merge_tracked(dst, src, orig, &ep.cum_dirty[j])?;
-                } else {
-                    fluidicl_vcl::diff_merge(dst, src, orig);
-                }
-            }
+            fold_endpoint(
+                self.input.launch.kernel.name(),
+                &self.orig_snapshots,
+                self.dirty_enabled.then_some(ep.cum_dirty.as_slice()),
+                src_mem,
+                gpu_mem,
+            )?;
         }
         if let Some(p) = owner {
             self.eps[p].mem = promoted_mem;
@@ -1109,19 +1076,15 @@ impl<'a> Coexec<'a> {
                 .compute_time(profile, self.items, wgs, self.input.config.wg_split)
         };
         let dev = self.eps[d].dev;
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpSubkernelStart {
-                    dev,
-                    from,
-                    to,
-                    version,
-                },
-            );
-        } else {
-            self.record(t, TraceKind::CpuSubkernelStart { from, to, version });
-        }
+        self.record(
+            t,
+            TraceKind::EpSubkernelStart {
+                dev,
+                from,
+                to,
+                version,
+            },
+        );
         self.subkernels.push(Subkernel {
             dev,
             from,
@@ -1182,16 +1145,7 @@ impl<'a> Coexec<'a> {
         // the watermark — pick them up.
         self.eps[d].lost = true;
         let dev = self.eps[d].dev;
-        if self.multi {
-            self.record(t, TraceKind::NonOwnerLost { dev });
-        } else {
-            self.record(
-                t,
-                TraceKind::DeviceLost {
-                    device: DeviceKind::Cpu,
-                },
-            );
-        }
+        self.record(t, TraceKind::NonOwnerLost { dev });
         self.return_lost_ranges(d);
         if self.gpu_lost && self.eps.iter().all(|e| e.lost || e.promoted) {
             // Name the device that actually missed the deadline: the CPU
@@ -1224,7 +1178,9 @@ impl<'a> Coexec<'a> {
     /// frontier: the killed in-flight subkernel, plus every completed
     /// subkernel that never entered a send (in-flight sends still deliver
     /// and count — their data reaches the owner regardless of the device's
-    /// fate, exactly like the paper's in-order queue semantics).
+    /// fate, exactly like the paper's in-order queue semantics). The
+    /// endpoint's pending coalesced batch never ships: another endpoint
+    /// may re-claim those ranges.
     fn return_lost_ranges(&mut self, d: usize) {
         let dev = self.eps[d].dev;
         let mut ranges: Vec<(u64, u64)> = Vec::new();
@@ -1241,13 +1197,7 @@ impl<'a> Coexec<'a> {
                 ranges.push((sk.from, sk.to));
             }
         }
-        // In multi-endpoint mode the dead endpoint's unsent results must
-        // never ship (another endpoint re-claims those ranges); the legacy
-        // two-device protocol lets a last in-flight copy ship as usual —
-        // the returned range is unreachable there anyway.
-        if self.multi {
-            self.eps[d].pending_batch.clear();
-        }
+        self.eps[d].pending_batch.clear();
         for (f, t) in ranges {
             self.frontier.return_range(f, t);
         }
@@ -1320,11 +1270,7 @@ impl<'a> Coexec<'a> {
         let wgs = to - from;
         self.eps[d].wgs_executed += wgs;
         self.subkernel_log.push((wgs, duration));
-        if self.multi {
-            self.record(t, TraceKind::EpSubkernelDone { dev, from, to });
-        } else {
-            self.record(t, TraceKind::CpuSubkernelDone { from, to });
-        }
+        self.record(t, TraceKind::EpSubkernelDone { dev, from, to });
         if trial {
             self.trial_results.push((version, duration.div_count(wgs)));
             if self.trial_results.len() == self.trial_versions {
@@ -1342,9 +1288,9 @@ impl<'a> Coexec<'a> {
             && self.frontier.is_empty()
             && self.eps.iter().all(|e| !e.busy || e.lost)
         {
-            // The non-owners computed the entire NDRange: with a single
-            // endpoint the final data lives on the CPU (paper §4.2) and
-            // the GPU execution's results are ignored.
+            // The non-owners computed the entire NDRange: with the CPU as
+            // the sole endpoint the final data lives on the CPU (paper
+            // §4.2) and the GPU execution's results are ignored.
             self.cpu_finished_at = Some(t);
         }
         if self.gpu_lost {
@@ -1382,7 +1328,7 @@ impl<'a> Coexec<'a> {
     fn on_copy_done(&mut self, sim: &mut Simulation<Ev>, t: SimTime, idx: u32) {
         let d = self.ep_of(idx);
         self.eps[d].unshipped = self.eps[d].unshipped.saturating_sub(1);
-        if self.multi && (self.eps[d].lost || self.eps[d].promoted) {
+        if self.eps[d].lost || self.eps[d].promoted {
             // The endpoint died (or was promoted to owner) after this copy
             // was enqueued; its range already returned to the frontier, so
             // the result must not ship (a survivor owns the range now).
@@ -1455,7 +1401,8 @@ impl<'a> Coexec<'a> {
             || self.gpu_lost
             || self.eps[d].link_wedged
             || self.eps[d].link_dead
-            || (self.multi && (self.eps[d].lost || self.eps[d].promoted))
+            || self.eps[d].lost
+            || self.eps[d].promoted
         {
             // Nobody is listening (or the queue is blocked, or the range
             // went back to the frontier): the send is dropped; the GPU
@@ -1481,37 +1428,16 @@ impl<'a> Coexec<'a> {
         self.hd_bytes += payload + STATUS_MSG_BYTES;
         let bytes = payload + STATUS_MSG_BYTES;
         let dev = self.eps[d].dev;
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpSend {
-                    dev,
-                    boundary,
-                    bytes,
-                    dirty_bytes,
-                    subkernels: subs.len() as u32,
-                },
-            );
-        } else if subs.len() == 1 {
-            self.record(
-                t,
-                TraceKind::HdEnqueued {
-                    boundary,
-                    bytes,
-                    dirty_bytes,
-                },
-            );
-        } else {
-            self.record(
-                t,
-                TraceKind::CoalescedSend {
-                    boundary,
-                    bytes,
-                    dirty_bytes,
-                    subkernels: subs.len() as u32,
-                },
-            );
-        }
+        self.record(
+            t,
+            TraceKind::EpSend {
+                dev,
+                boundary,
+                bytes,
+                dirty_bytes,
+                subkernels: subs.len() as u32,
+            },
+        );
         let seq = self.sends.len() as u32;
         self.sends.push(SendOp {
             dev,
@@ -1637,18 +1563,14 @@ impl<'a> Coexec<'a> {
             self.coverage.add(sk.from, sk.to);
         }
         self.watermark = self.coverage.suffix_start();
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpStatus {
-                    dev,
-                    boundary,
-                    watermark: self.watermark,
-                },
-            );
-        } else {
-            self.record(t, TraceKind::StatusArrived { boundary });
-        }
+        self.record(
+            t,
+            TraceKind::EpStatus {
+                dev,
+                boundary,
+                watermark: self.watermark,
+            },
+        );
         // A running wave fully covered by the non-owners aborts at its next
         // in-loop check (paper §6.4).
         if !self.input.config.abort_mode.allows_early_abort() {
@@ -1717,11 +1639,7 @@ impl<'a> Coexec<'a> {
             (s.dev, s.boundary)
         };
         self.sends[seq as usize].resolved = true;
-        if self.multi {
-            self.record(t, TraceKind::EpTransferTimeout { dev, boundary });
-        } else {
-            self.record(t, TraceKind::TransferTimeout { boundary });
-        }
+        self.record(t, TraceKind::EpTransferTimeout { dev, boundary });
         self.eps[d].link_wedged = false;
         self.eps[d].link_dead = true;
         self.eps[d].hd_free = self.eps[d].hd_free.max(t);
@@ -1747,18 +1665,14 @@ impl<'a> Coexec<'a> {
             let s = &self.sends[seq as usize];
             (s.dev, s.boundary, s.attempt)
         };
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpTransferFault {
-                    dev,
-                    boundary,
-                    attempt,
-                },
-            );
-        } else {
-            self.record(t, TraceKind::TransferFault { boundary, attempt });
-        }
+        self.record(
+            t,
+            TraceKind::EpTransferFault {
+                dev,
+                boundary,
+                attempt,
+            },
+        );
         if attempt > self.input.config.recovery.max_transfer_retries {
             return Err(ClError::Timeout {
                 op: "h2d transfer".into(),
@@ -1801,11 +1715,7 @@ impl<'a> Coexec<'a> {
             // Reject-and-resend: the damaged delivery is discarded and the
             // batch's results are re-enqueued immediately (the payload is
             // still staged host-side from the intermediate copies).
-            if self.multi {
-                self.record(t, TraceKind::EpTransferRejected { dev, boundary });
-            } else {
-                self.record(t, TraceKind::TransferRejected { boundary });
-            }
+            self.record(t, TraceKind::EpTransferRejected { dev, boundary });
             if attempt == 1 {
                 self.eps[d].holes += 1;
             }
@@ -1848,6 +1758,16 @@ impl<'a> Coexec<'a> {
 
     // ---- Completion -----------------------------------------------------
 
+    /// The paper's CPU-finish shortcut (§4.2) applies: the CPU is the only
+    /// non-owner, so a CPU that computed the whole NDRange holds the
+    /// authoritative data and the host call returns at that instant, with
+    /// no device-to-host transfer. With peers the final data only ever
+    /// exists assembled on the owner, so the kernel always completes
+    /// through the merge.
+    fn cpu_is_sole_non_owner(&self) -> bool {
+        self.eps.len() == 1
+    }
+
     fn finish(mut self) -> ClResult<CoexecOutcome> {
         if self.gpu_lost {
             return self.finish_after_gpu_loss();
@@ -1869,13 +1789,8 @@ impl<'a> Coexec<'a> {
             self.merge_results()?;
         }
         let gpu_results_at = merge_done;
-        // With a single endpoint the paper's shortcut applies: a CPU that
-        // computed the whole NDRange holds the authoritative data and the
-        // host call returns at that instant. With several endpoints the
-        // final data only ever exists assembled on the owner, so the
-        // kernel always completes through the merge.
         let (complete_at, finished_by) = match self.cpu_finished_at {
-            Some(tc) if !self.multi && tc < merge_done => (tc, Finisher::Cpu),
+            Some(tc) if self.cpu_is_sole_non_owner() && tc < merge_done => (tc, Finisher::Cpu),
             _ => (merge_done, Finisher::Gpu),
         };
         // Host-stale ranges: where the merged GPU content differs from the
@@ -1972,40 +1887,8 @@ impl<'a> Coexec<'a> {
         // The snapshots served their purpose; recycle their allocations for
         // the next kernel of this runtime.
         self.release_snapshots();
-        self.record(
-            complete_at,
-            TraceKind::KernelComplete {
-                finisher: finished_by,
-            },
-        );
-        // The trace is recorded in handler order; sort by timestamp so the
-        // rendered timeline is chronological even across the final events.
-        self.trace.sort_by_key(|e| e.at);
         let cpu_merged_wgs = self.coverage.covered_count();
-        let report = KernelReport {
-            kernel: self.input.launch.kernel.name().to_string(),
-            kernel_id: self.input.kernel_id,
-            enqueued_at: self.input.enqueue_at,
-            complete_at,
-            total_wgs: self.total,
-            gpu_executed_wgs: self.gpu_wgs_executed,
-            cpu_executed_wgs: self.eps[0].wgs_executed,
-            cpu_merged_wgs,
-            subkernels: self.subkernels.len() as u64,
-            subkernel_log: self.subkernel_log,
-            hd_bytes: self.hd_bytes,
-            dh_bytes: self.dh_bytes,
-            cpu_version_used: self.selected_version,
-            peer_executed_wgs: self.eps[1..].iter().map(|e| e.wgs_executed).collect(),
-            finished_by,
-            duration: complete_at.saturating_since(self.input.enqueue_at),
-            trace: self.trace,
-            launch_meta: Some(LaunchMeta {
-                ndrange: self.input.launch.ndrange,
-                scalars: self.input.launch.plan()?.scalars.clone(),
-                out_lens: self.out_lens,
-            }),
-        };
+        let report = self.report(complete_at, finished_by, cpu_merged_wgs)?;
         Ok(CoexecOutcome {
             complete_at,
             gpu_busy_until,
@@ -2022,12 +1905,60 @@ impl<'a> Coexec<'a> {
             // while the healthy promoted peer stays available.
             lost_cpu: self.eps[0].lost,
             lost_gpu: self.gpu_lost || self.epoch > 0,
-            lost_peers: self.eps[1..]
-                .iter()
-                .filter(|e| e.lost)
-                .map(|e| e.dev)
-                .collect(),
+            lost_peers: self.lost_peers(),
         })
+    }
+
+    /// Records the completion event and assembles the kernel's report. The
+    /// trace is recorded in handler order; it is sorted by timestamp here
+    /// so the rendered timeline is chronological even across the final
+    /// events.
+    fn report(
+        &mut self,
+        complete_at: SimTime,
+        finished_by: Finisher,
+        cpu_merged_wgs: u64,
+    ) -> ClResult<KernelReport> {
+        self.record(
+            complete_at,
+            TraceKind::KernelComplete {
+                finisher: finished_by,
+            },
+        );
+        self.trace.sort_by_key(|e| e.at);
+        Ok(KernelReport {
+            kernel: self.input.launch.kernel.name().to_string(),
+            kernel_id: self.input.kernel_id,
+            enqueued_at: self.input.enqueue_at,
+            complete_at,
+            total_wgs: self.total,
+            gpu_executed_wgs: self.gpu_wgs_executed,
+            cpu_executed_wgs: self.eps[0].wgs_executed,
+            cpu_merged_wgs,
+            subkernels: self.subkernels.len() as u64,
+            subkernel_log: std::mem::take(&mut self.subkernel_log),
+            hd_bytes: self.hd_bytes,
+            dh_bytes: self.dh_bytes,
+            cpu_version_used: self.selected_version,
+            peer_executed_wgs: self.eps[1..].iter().map(|e| e.wgs_executed).collect(),
+            finished_by,
+            duration: complete_at.saturating_since(self.input.enqueue_at),
+            trace: std::mem::take(&mut self.trace),
+            launch_meta: Some(LaunchMeta {
+                ndrange: self.input.launch.ndrange,
+                scalars: self.input.launch.plan()?.scalars.clone(),
+                out_lens: std::mem::take(&mut self.out_lens),
+            }),
+        })
+    }
+
+    /// Stable indices of the peer endpoints declared lost this kernel.
+    fn lost_peers(&self) -> Vec<u32> {
+        self.eps[1..]
+            .iter()
+            .filter(|e| e.lost)
+            .map(|e| e.dev)
+            .collect()
     }
 
     /// Graceful degradation after a permanent GPU loss: the non-owner
@@ -2039,38 +1970,23 @@ impl<'a> Coexec<'a> {
     /// the owner is gone).
     fn finish_after_gpu_loss(mut self) -> ClResult<CoexecOutcome> {
         let finished = self.cpu_finished_at;
-        if finished.is_some() && self.multi {
+        if finished.is_some() {
             // Merge tree rooted at the host: each peer's results fold into
             // the CPU copy, wherever the peer's copy differs from the
             // pristine original. A lost peer's memory is safe to fold —
             // killed subkernels never executed, so its copy only differs
             // where completed subkernels really wrote.
-            for e in 1..self.eps.len() {
-                let ep = &self.eps[e];
+            for ep in &self.eps[1..] {
                 let Some(src_mem) = ep.mem.as_ref() else {
                     continue;
                 };
-                for (j, (id, orig)) in self.orig_snapshots.iter().enumerate() {
-                    let src = src_mem.get(*id)?;
-                    let dst = self.input.cpu_mem.get_mut(*id)?;
-                    if dst.len() != src.len() || src.len() != orig.len() {
-                        return Err(ClError::ProtocolViolation {
-                            kernel: self.input.launch.kernel.name().to_string(),
-                            detail: format!(
-                                "host-side diff-merge size mismatch on buffer {}: cpu {} vs peer {} vs original {} elements",
-                                id.0,
-                                dst.len(),
-                                src.len(),
-                                orig.len()
-                            ),
-                        });
-                    }
-                    if self.dirty_enabled {
-                        diff_merge_tracked(dst, src, orig, &ep.cum_dirty[j])?;
-                    } else {
-                        fluidicl_vcl::diff_merge(dst, src, orig);
-                    }
-                }
+                fold_endpoint(
+                    self.input.launch.kernel.name(),
+                    &self.orig_snapshots,
+                    self.dirty_enabled.then_some(ep.cum_dirty.as_slice()),
+                    src_mem,
+                    self.input.cpu_mem,
+                )?;
             }
         }
         self.release_snapshots();
@@ -2082,37 +1998,7 @@ impl<'a> Coexec<'a> {
                 detail: "GPU lost and the CPU did not complete the NDRange".into(),
             });
         };
-        self.record(
-            complete_at,
-            TraceKind::KernelComplete {
-                finisher: Finisher::Cpu,
-            },
-        );
-        self.trace.sort_by_key(|e| e.at);
-        let report = KernelReport {
-            kernel: self.input.launch.kernel.name().to_string(),
-            kernel_id: self.input.kernel_id,
-            enqueued_at: self.input.enqueue_at,
-            complete_at,
-            total_wgs: self.total,
-            gpu_executed_wgs: self.gpu_wgs_executed,
-            cpu_executed_wgs: self.eps[0].wgs_executed,
-            cpu_merged_wgs: 0,
-            subkernels: self.subkernels.len() as u64,
-            subkernel_log: self.subkernel_log,
-            hd_bytes: self.hd_bytes,
-            dh_bytes: self.dh_bytes,
-            cpu_version_used: self.selected_version,
-            peer_executed_wgs: self.eps[1..].iter().map(|e| e.wgs_executed).collect(),
-            finished_by: Finisher::Cpu,
-            duration: complete_at.saturating_since(self.input.enqueue_at),
-            trace: self.trace,
-            launch_meta: Some(LaunchMeta {
-                ndrange: self.input.launch.ndrange,
-                scalars: self.input.launch.plan()?.scalars.clone(),
-                out_lens: self.out_lens,
-            }),
-        };
+        let report = self.report(complete_at, Finisher::Cpu, 0)?;
         Ok(CoexecOutcome {
             complete_at,
             gpu_busy_until: complete_at,
@@ -2123,11 +2009,48 @@ impl<'a> Coexec<'a> {
             report,
             lost_cpu: self.eps[0].lost,
             lost_gpu: true,
-            lost_peers: self.eps[1..]
-                .iter()
-                .filter(|e| e.lost)
-                .map(|e| e.dev)
-                .collect(),
+            lost_peers: self.lost_peers(),
         })
     }
+}
+
+/// Folds one endpoint's copy into `dst` exactly as the merge kernel of
+/// paper Figure 9 does — element-wise, wherever the endpoint's copy `src`
+/// differs from the pristine original in `snapshots`. With `cum_dirty`
+/// (dirty-range transfers on) the merge walks only what the endpoint
+/// actually changed: the trackers cover every element where its copy
+/// differs from the original (exactly, or rounded to pages on huge
+/// buffers — the extra elements are bitwise clean), so this is
+/// functionally identical to the full-buffer merge.
+fn fold_endpoint(
+    kernel: &str,
+    snapshots: &[(BufferId, Vec<f32>)],
+    cum_dirty: Option<&[DirtyTracker]>,
+    src_mem: &Memory,
+    dst_mem: &mut Memory,
+) -> ClResult<()> {
+    for (j, (id, orig)) in snapshots.iter().enumerate() {
+        let src = src_mem.get(*id)?;
+        let dst = dst_mem.get_mut(*id)?;
+        if dst.len() != src.len() || src.len() != orig.len() {
+            // A mis-sized buffer mid-simulation is a protocol breach, not a
+            // programming error in the merge itself: surface it through the
+            // runtime's error path instead of panicking.
+            return Err(ClError::ProtocolViolation {
+                kernel: kernel.to_string(),
+                detail: format!(
+                    "diff-merge size mismatch on buffer {}: destination {} vs source {} vs original {} elements",
+                    id.0,
+                    dst.len(),
+                    src.len(),
+                    orig.len()
+                ),
+            });
+        }
+        match cum_dirty {
+            Some(trackers) => diff_merge_tracked(dst, src, orig, &trackers[j])?,
+            None => fluidicl_vcl::diff_merge(dst, src, orig),
+        }
+    }
+    Ok(())
 }

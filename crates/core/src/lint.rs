@@ -3,41 +3,46 @@
 //!
 //! The co-execution engine records every protocol event with its virtual
 //! timestamp (sorted chronologically, ties in processing order), so the
-//! trace is a complete replayable record of one kernel's execution. This
-//! module replays it and verifies the properties the paper's protocol
-//! guarantees by construction:
+//! trace is a complete replayable record of one kernel's execution. Every
+//! run — the paper's CPU + GPU pair or N devices — records the same
+//! dev-tagged vocabulary (endpoint 0 is the CPU, 1.. are peer GPUs), and
+//! one replay verifies the properties the protocol guarantees by
+//! construction:
 //!
-//! * the CPU-completion **watermark only decreases** (paper §4.2 — status
-//!   boundaries move from the top of the NDRange downward);
-//! * **data precedes status** on the in-order host-to-device queue: the
-//!   k-th status message corresponds to the k-th enqueued transfer and
-//!   cannot arrive before it was sent (§4.2, §5.4);
-//! * GPU **waves stay below the watermark** known when they start, ascend
+//! * the owner's **watermark only decreases** between promotions, and each
+//!   status reports exactly the covered suffix of the ranges delivered so
+//!   far (paper §4.2 — with the CPU alone, boundaries move from the top of
+//!   the NDRange downward);
+//! * **data precedes status** on every endpoint's in-order link: its k-th
+//!   status corresponds to its k-th send and cannot arrive before it was
+//!   sent, and each send carries exactly that endpoint's next unshipped
+//!   completed subkernels with the lowest start as its boundary (§4.2,
+//!   §5.4);
+//! * owner **waves stay below the watermark** known when they start, ascend
 //!   contiguously from 0, and never run past the kernel exit (§4.2, Fig. 6);
-//! * CPU **subkernels descend contiguously** from the top of the NDRange
-//!   (§4.2, Fig. 7), one in flight at a time;
-//! * GPU-executed ranges and the CPU-merged region together **cover**
+//! * **claims come off the frontier top** (`cpu-contiguity`): with the CPU
+//!   alone this is the paper's contiguous top-down subkernel descent
+//!   (§4.2, Fig. 7); only ranges a recorded loss or promotion returned to
+//!   the frontier may be claimed above the untouched region. Claims of
+//!   live endpoints never overlap (`claim-disjoint`), every endpoint runs
+//!   one subkernel at a time (`ep-pairing`), and every claim completes
+//!   unless its endpoint was lost or promoted;
+//! * owner-executed ranges and the delivered suffix together **cover**
 //!   `[0, total)` — no work-group is lost (§4.3);
 //! * exactly one **exit → merge → complete** sequence, in order (§4.3–4.4);
-//! * under dirty-range transfers, every enqueued transfer ships exactly
-//!   its **coalesced dirty payload plus the status message** — no
-//!   over- or under-shipping;
-//! * under pipelined execution (the enqueue record carries the pipeline
-//!   depth), shipped batches — plain transfers and
-//!   [`TraceKind::CoalescedSend`] events alike — still pair the k-th
-//!   status with the k-th send, carry exactly the next unshipped completed
-//!   subkernels, and keep their **per-batch boundaries strictly
-//!   descending**; a coalesced send must carry at least two subkernels and
-//!   may not appear in a serial (depth-1) trace.
+//!   a CPU finisher is legal only when the CPU is the sole endpoint and its
+//!   descent reached work-group 0 before the merge (the §4.2 shortcut);
+//! * under dirty-range transfers, every send ships exactly its **coalesced
+//!   dirty payload plus the status message**; a batch of several
+//!   subkernels may not appear in a serial (depth-1) trace.
 //!
-//! When the trace contains fault or recovery events
-//! ([`TraceKind::TransferFault`], [`TraceKind::TransferRejected`],
-//! [`TraceKind::TransferTimeout`], [`TraceKind::DeviceLost`],
-//! [`TraceKind::DegradedRun`]) the linter switches to a *recovery-aware*
-//! mode: retried and resent transfers may repeat boundaries out of the
-//! strict descent order, a truncated trace is legal as long as it is
-//! consistent with the recorded recovery (a lost CPU may leave its killed
-//! subkernel open; a lost GPU finishes without exit or merge, by the CPU),
+//! When the trace contains fault or recovery events (transfer faults,
+//! rejections and timeouts, endpoint or owner losses, promotions and
+//! stale-epoch rejections) the linter switches to a *recovery-aware* mode:
+//! retried and resent transfers may repeat boundaries out of the strict
+//! send order, a truncated trace is legal as long as it is consistent with
+//! the recorded recovery (a lost endpoint may leave its killed subkernel
+//! open; a lost owner finishes without exit or merge, by the survivors),
 //! and a degraded single-device span replaces the co-execution shape
 //! entirely. Everything that is *not* explained by a recorded recovery
 //! event is still an error — faults excuse exactly the damage they cause.
@@ -49,11 +54,12 @@
 //! (the default in debug and test builds) and fails the enqueue with
 //! [`ClError::ProtocolViolation`](fluidicl_vcl::ClError) on any error.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use fluidicl_des::SimTime;
-use fluidicl_vcl::DeviceKind;
 
+use crate::frontier::Coverage;
 use crate::stats::{Finisher, KernelReport};
 use crate::trace::{TraceEvent, TraceKind, STATUS_MSG_BYTES};
 
@@ -108,6 +114,66 @@ impl fmt::Display for LintDiagnostic {
     }
 }
 
+/// One enqueued send in the replay: `(at, boundary, consumed ranges)`.
+type EpSendRec = (SimTime, u64, Vec<(u64, u64)>);
+
+/// Per-endpoint replay state.
+#[derive(Default)]
+struct EpReplay {
+    open_sub: Option<(u64, u64)>,
+    /// Completed subkernels `(at, from, to)` in completion order.
+    done: Vec<(SimTime, u64, u64)>,
+    /// How many completed subkernels earlier sends already carried.
+    shipped: usize,
+    /// Every send in enqueue order.
+    sends: Vec<EpSendRec>,
+    statuses: usize,
+    lost: bool,
+}
+
+/// Whether `[from, to)` lies inside the union of `ranges`.
+fn covered_by(ranges: &mut [(u64, u64)], from: u64, to: u64) -> bool {
+    ranges.sort_unstable();
+    let mut reach = from;
+    for &(f, t) in ranges.iter() {
+        if f > reach {
+            break;
+        }
+        reach = reach.max(t);
+        if reach >= to {
+            return true;
+        }
+    }
+    reach >= to
+}
+
+/// Reports every gap in `[0, total)` left by `ranges` under `rule`;
+/// `who` names the executors in the message.
+fn check_coverage(
+    mut ranges: Vec<(u64, u64)>,
+    total: u64,
+    who: &str,
+    out: &mut Vec<LintDiagnostic>,
+) {
+    ranges.sort_unstable();
+    let mut reach = 0u64;
+    for (from, to) in ranges {
+        if from > reach {
+            out.push(LintDiagnostic::error(
+                "coverage",
+                format!("work-groups {reach}..{from} were never executed by {who}"),
+            ));
+        }
+        reach = reach.max(to);
+    }
+    if reach < total {
+        out.push(LintDiagnostic::error(
+            "coverage",
+            format!("work-groups {reach}..{total} were never executed by {who}"),
+        ));
+    }
+}
+
 /// Lints a protocol trace. Returns every violated invariant; an empty vector
 /// means the trace is a legal FluidiCL execution.
 ///
@@ -133,86 +199,63 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
         ));
         return out;
     };
-
-    // Pre-scan for fault/recovery events: their presence switches the
-    // replay into recovery-aware mode (see the module docs).
-    let mut lost_gpu = false;
-    let mut lost_cpu = false;
-    let mut degraded = false;
-    let mut relaxed = false;
-    for e in events {
-        match &e.kind {
-            TraceKind::TransferFault { .. }
-            | TraceKind::TransferRejected { .. }
-            | TraceKind::TransferTimeout { .. } => relaxed = true,
-            TraceKind::DeviceLost { device } => {
-                relaxed = true;
-                match device {
-                    DeviceKind::Gpu => lost_gpu = true,
-                    DeviceKind::Cpu => lost_cpu = true,
-                }
-            }
-            TraceKind::DegradedRun { .. } | TraceKind::EpDegradedRun { .. } => {
-                relaxed = true;
-                degraded = true;
-            }
-            TraceKind::OwnerPromoted { .. } | TraceKind::EpochRejected { .. } => relaxed = true,
-            _ => {}
-        }
-    }
-    // Graph-scheduled peer-lane nodes have their own three-event shape
-    // (the owner-lane nodes of a flushed graph keep the legacy co-execution
-    // vocabulary and replay below as usual).
+    // Single-endpoint spans have their own three-event shapes: a
+    // graph-scheduled node on a peer lane, or a degraded run after a
+    // permanent loss.
     if events
         .iter()
         .any(|e| matches!(&e.kind, TraceKind::GraphRun { .. }))
     {
-        return lint_graph(events, total, out);
+        return lint_lone_run(events, total, true, out);
     }
-    if degraded {
-        return lint_degraded(events, total, out);
-    }
-    // N-device traces use the dev-tagged event vocabulary throughout; their
-    // invariants (per-endpoint pairing, frontier disjointness, coverage
-    // watermark) are replayed separately. Two-device traces never contain
-    // these events, so the legacy replay below is untouched.
     if events.iter().any(|e| {
         matches!(
             &e.kind,
-            TraceKind::EpSubkernelStart { .. }
-                | TraceKind::EpSubkernelDone { .. }
-                | TraceKind::EpSend { .. }
-                | TraceKind::EpStatus { .. }
-                | TraceKind::EpTransferFault { .. }
+            TraceKind::DegradedRun { .. } | TraceKind::EpDegradedRun { .. }
+        )
+    }) {
+        return lint_lone_run(events, total, false, out);
+    }
+    // Fault and recovery events switch the replay into recovery-aware mode
+    // (see the module docs): retries, resends and losses excuse exactly the
+    // reordering they cause (statuses may apply out of send order behind a
+    // redelivery, claims may re-cover a returned range), and nothing else.
+    let relaxed = events.iter().any(|e| {
+        matches!(
+            &e.kind,
+            TraceKind::EpTransferFault { .. }
                 | TraceKind::EpTransferRejected { .. }
                 | TraceKind::EpTransferTimeout { .. }
                 | TraceKind::NonOwnerLost { .. }
+                | TraceKind::DeviceLost
                 | TraceKind::OwnerPromoted { .. }
                 | TraceKind::EpochRejected { .. }
         )
-    }) {
-        let relaxed_multi = relaxed
-            || events.iter().any(|e| {
-                matches!(
-                    &e.kind,
-                    TraceKind::EpTransferFault { .. }
-                        | TraceKind::EpTransferRejected { .. }
-                        | TraceKind::EpTransferTimeout { .. }
-                        | TraceKind::NonOwnerLost { .. }
-                        | TraceKind::OwnerPromoted { .. }
-                        | TraceKind::EpochRejected { .. }
-                )
-            });
-        return lint_multidev(events, total, depth, relaxed_multi, out);
-    }
+    });
 
     let mut prev_at = first.at;
-    // Watermark replay: statuses are the only events that move it.
+    let mut eps: BTreeMap<u32, EpReplay> = BTreeMap::new();
+    // All claimed ranges with their claimant, for frontier disjointness.
+    let mut claims: Vec<(u64, u64, u32)> = Vec::new();
+    // Top of the untouched frontier region `[0, top)`: a claim must end
+    // here unless it re-claims a range a loss or promotion returned.
+    let mut top = total;
+    let mut lost_devs: Vec<u32> = Vec::new();
+    // Owner-failover replay: every promotion hands the owner role to a
+    // surviving peer, bumps the epoch, and restarts the wave walk from 0.
+    let mut promotions = 0usize;
+    let mut gpu_losses = 0usize;
+    let mut promoted_devs: Vec<u32> = Vec::new();
+    // Watermark replay: EpStatus events carry the engine's value; the
+    // linter recomputes it from delivered ranges and cross-checks.
     let mut watermark = total;
-    // In-order hd queue: (send time, boundary) of every enqueued transfer.
-    let mut hd_sends: Vec<(SimTime, u64)> = Vec::new();
-    let mut statuses_seen = 0usize;
-    // GPU wave replay.
+    let mut coverage = Coverage::new(total);
+    // Delivered-and-credited ranges per endpoint. Owner failover
+    // un-credits the promoted endpoint's deliveries, so the post-promotion
+    // watermark is the covered suffix of the *other* endpoints' ranges —
+    // this map is what lets the replay rebuild it exactly.
+    let mut applied_by_dev: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
+    // Owner wave replay.
     let mut expected_next = 0u64;
     let mut open_wave: Option<(u64, u64)> = None;
     let mut wave_aborted = false;
@@ -220,17 +263,7 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
     let mut exec_ranges: Vec<(u64, u64)> = Vec::new();
     let mut exit_at: Option<SimTime> = None;
     let mut merge_at: Option<SimTime> = None;
-    // CPU subkernel replay.
-    let mut open_sub: Option<(u64, u64)> = None;
-    let mut next_sub_to = total;
-    let mut last_completed_from: Option<u64> = None;
-    let mut done_subs: Vec<(SimTime, u64, u64)> = Vec::new();
-    // Pipelined shipping replay: how many completed subkernels earlier
-    // sends (single or coalesced) have already carried to the GPU.
-    let mut shipped_subs = 0usize;
     let mut completes: Vec<(SimTime, Finisher)> = Vec::new();
-    let mut gpu_lost_seen = false;
-    let mut cpu_lost_seen = false;
 
     for e in &events[1..] {
         if e.at < prev_at {
@@ -250,7 +283,8 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
             }
             TraceKind::GpuLaunch => {
                 launches += 1;
-                if launches > 1 {
+                // Each promotion legally relaunches the owner walk once.
+                if launches > promotions + 1 {
                     out.push(LintDiagnostic::error("trace-shape", "gpu launched twice"));
                 }
                 if exited {
@@ -382,643 +416,6 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
                     merge_at = Some(e.at);
                 }
             }
-            TraceKind::CpuSubkernelStart { from, to, .. } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} started after the gpu exit"),
-                    ));
-                }
-                if open_sub.is_some() {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} started while another is running"),
-                    ));
-                }
-                if *to != next_sub_to {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!(
-                            "subkernel {from}..{to} breaks the descent; expected it to end \
-                             at {next_sub_to}"
-                        ),
-                    ));
-                }
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} is empty or reversed"),
-                    ));
-                }
-                next_sub_to = *from;
-                open_sub = Some((*from, *to));
-            }
-            TraceKind::CpuSubkernelDone { from, to } => match open_sub.take() {
-                Some((sf, st)) if sf == *from && st == *to => {
-                    last_completed_from = Some(*from);
-                    done_subs.push((e.at, *from, *to));
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} finished but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::HdEnqueued {
-                boundary,
-                bytes,
-                dirty_bytes,
-            }
-            | TraceKind::CoalescedSend {
-                boundary,
-                bytes,
-                dirty_bytes,
-                ..
-            } => {
-                let batch = match &e.kind {
-                    TraceKind::CoalescedSend { subkernels, .. } => *subkernels as usize,
-                    _ => 1,
-                };
-                if let TraceKind::CoalescedSend { subkernels, .. } = &e.kind {
-                    // A coalesced send exists precisely because more than
-                    // one copy queued up behind a busy link; a singleton
-                    // batch must have been recorded as a plain transfer.
-                    if *subkernels < 2 {
-                        out.push(LintDiagnostic::error(
-                            "coalesced-send",
-                            format!(
-                                "coalesced send (boundary {boundary}) carries {subkernels} \
-                                 subkernels, expected at least 2"
-                            ),
-                        ));
-                    }
-                    if depth <= 1 {
-                        out.push(LintDiagnostic::error(
-                            "coalesced-send",
-                            format!(
-                                "coalesced send (boundary {boundary}) in a serial trace \
-                                 (pipeline depth {depth})"
-                            ),
-                        ));
-                    }
-                }
-                // Byte accounting under dirty-range transfers: the data
-                // message is exactly the coalesced dirty payload, followed
-                // by the fixed-size status message.
-                if let Some(d) = dirty_bytes {
-                    if *bytes != d + STATUS_MSG_BYTES {
-                        out.push(LintDiagnostic::error(
-                            "transfer-bytes",
-                            format!(
-                                "transfer (boundary {boundary}) ships {bytes} B but its dirty \
-                                 payload is {d} B + {STATUS_MSG_BYTES} B status"
-                            ),
-                        ));
-                    }
-                }
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "data-before-status",
-                        format!("transfer (boundary {boundary}) enqueued after the gpu exit"),
-                    ));
-                }
-                if relaxed {
-                    // Retries and resends re-ship an older boundary after
-                    // newer subkernels completed: any completed subkernel
-                    // start is a legal boundary under recovery.
-                    if !done_subs.iter().any(|(_, f, _)| f == boundary) {
-                        out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer carries boundary {boundary} but no completed \
-                                 subkernel starts there"
-                            ),
-                        ));
-                    }
-                } else if depth <= 1 {
-                    match last_completed_from {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer (boundary {boundary}) enqueued before any subkernel \
-                                 completed"
-                            ),
-                        )),
-                        Some(f) if f != *boundary => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer carries boundary {boundary} but the last completed \
-                                 subkernel starts at {f}"
-                            ),
-                        )),
-                        Some(_) => {}
-                    }
-                } else {
-                    // Pipelined fault-free shipping: copies complete in
-                    // subkernel-completion order, so the k-th shipped batch
-                    // carries exactly the next `batch` completed-but-
-                    // unshipped subkernels and its boundary is the lowest
-                    // (last) of their starts. Boundaries therefore still
-                    // strictly descend per batch.
-                    match done_subs.get((shipped_subs + batch).saturating_sub(1)) {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer batch of {batch} (boundary {boundary}) outruns the \
-                                 {} completed subkernels",
-                                done_subs.len()
-                            ),
-                        )),
-                        Some((_, f, _)) if f != boundary => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer batch of {batch} carries boundary {boundary} but the \
-                                 batch's last unshipped subkernel starts at {f}"
-                            ),
-                        )),
-                        Some(_) => {}
-                    }
-                    shipped_subs += batch;
-                }
-                hd_sends.push((e.at, *boundary));
-            }
-            TraceKind::StatusArrived { boundary } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "gpu-exit",
-                        format!("status (boundary {boundary}) arrived after the gpu exit"),
-                    ));
-                }
-                if relaxed {
-                    // Failed sends produce no status and resends duplicate
-                    // boundaries, so index pairing no longer holds. The
-                    // surviving invariant: every accepted status must follow
-                    // a transfer that carried its boundary.
-                    if !hd_sends
-                        .iter()
-                        .any(|(sent_at, b)| b == boundary && *sent_at <= e.at)
-                    {
-                        out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "status (boundary {boundary}) arrived without a prior \
-                                 transfer carrying it"
-                            ),
-                        ));
-                    }
-                } else {
-                    match hd_sends.get(statuses_seen) {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "status (boundary {boundary}) arrived without a matching \
-                                 enqueued transfer"
-                            ),
-                        )),
-                        Some((sent_at, sent_boundary)) => {
-                            if sent_boundary != boundary {
-                                out.push(LintDiagnostic::error(
-                                    "data-before-status",
-                                    format!(
-                                        "status boundary {boundary} does not match the in-order \
-                                         queue (transfer {statuses_seen} carried \
-                                         {sent_boundary})"
-                                    ),
-                                ));
-                            }
-                            if e.at < *sent_at {
-                                out.push(LintDiagnostic::error(
-                                    "data-before-status",
-                                    format!(
-                                        "status (boundary {boundary}) arrived before it was sent"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                statuses_seen += 1;
-                if *boundary > watermark {
-                    out.push(LintDiagnostic::error(
-                        "watermark-monotone",
-                        format!("watermark rose from {watermark} to {boundary}"),
-                    ));
-                }
-                watermark = watermark.min(*boundary);
-            }
-            TraceKind::KernelComplete { finisher } => {
-                completes.push((e.at, *finisher));
-            }
-            TraceKind::TransferFault { boundary, .. }
-            | TraceKind::TransferRejected { boundary }
-            | TraceKind::TransferTimeout { boundary } => {
-                if !hd_sends.iter().any(|(_, b)| b == boundary) {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "transfer fault reported for boundary {boundary} but no \
-                             enqueued transfer carried it"
-                        ),
-                    ));
-                }
-            }
-            TraceKind::DeviceLost { device } => {
-                let seen = match device {
-                    DeviceKind::Gpu => &mut gpu_lost_seen,
-                    DeviceKind::Cpu => &mut cpu_lost_seen,
-                };
-                if *seen {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!("device {device:?} was declared lost twice"),
-                    ));
-                }
-                *seen = true;
-            }
-            TraceKind::DegradedRun { .. } => {
-                out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    "degraded single-device span inside a co-executed trace",
-                ));
-            }
-            // Multi-device events were dispatched to `lint_multidev` above;
-            // reaching here means a stray dev-tagged event in an otherwise
-            // legacy trace, which the dispatch predicate makes impossible.
-            TraceKind::EpSubkernelStart { .. }
-            | TraceKind::EpSubkernelDone { .. }
-            | TraceKind::EpSend { .. }
-            | TraceKind::EpStatus { .. }
-            | TraceKind::EpTransferFault { .. }
-            | TraceKind::EpTransferRejected { .. }
-            | TraceKind::EpTransferTimeout { .. }
-            | TraceKind::NonOwnerLost { .. }
-            | TraceKind::OwnerPromoted { .. }
-            | TraceKind::EpochRejected { .. } => unreachable!("dispatched to lint_multidev"),
-            // Peer-degraded spans were dispatched to `lint_degraded` above.
-            TraceKind::EpDegradedRun { .. } => unreachable!("dispatched to lint_degraded"),
-            // Graph-node spans were dispatched to `lint_graph` above.
-            TraceKind::GraphRun { .. } => unreachable!("dispatched to lint_graph"),
-        }
-    }
-
-    if launches == 0 && total > 0 {
-        out.push(LintDiagnostic::error(
-            "trace-shape",
-            "gpu was never launched",
-        ));
-    }
-    if let Some((sf, st)) = open_sub {
-        // A lost CPU legally leaves exactly its killed subkernel open.
-        if !lost_cpu {
-            out.push(LintDiagnostic::error(
-                "cpu-contiguity",
-                format!("subkernel {sf}..{st} never completed"),
-            ));
-        }
-    }
-    if lost_gpu {
-        // A lost GPU never exits and never merges: the CPU scheduler keeps
-        // descending and finishes the whole NDRange alone (engine
-        // `finish_after_gpu_loss`), so completion and coverage are judged
-        // against the CPU subkernel log instead.
-        if exit_at.is_some() {
-            out.push(LintDiagnostic::error(
-                "recovery",
-                "gpu exited although it was declared lost",
-            ));
-        }
-        if merge_at.is_some() {
-            out.push(LintDiagnostic::error(
-                "recovery",
-                "diff-merge completed although the gpu was lost",
-            ));
-        }
-        match completes.as_slice() {
-            [(at, Finisher::Cpu)] => {
-                if !done_subs.iter().any(|(t, f, _)| *f == 0 && t == at) {
-                    out.push(LintDiagnostic::error(
-                        "completion",
-                        "cpu finisher without a subkernel reaching work-group 0 at that time",
-                    ));
-                }
-            }
-            [(_, Finisher::Gpu)] => out.push(LintDiagnostic::error(
-                "completion",
-                "a kernel whose gpu was lost cannot be finished by the gpu",
-            )),
-            [] => out.push(LintDiagnostic::error(
-                "completion",
-                "kernel never completed",
-            )),
-            _ => out.push(LintDiagnostic::error(
-                "completion",
-                "kernel completed more than once",
-            )),
-        }
-        let mut covered: Vec<(u64, u64)> = done_subs.iter().map(|(_, f, t)| (*f, *t)).collect();
-        covered.sort_unstable();
-        let mut reach = 0u64;
-        for (from, to) in covered {
-            if from > reach {
-                out.push(LintDiagnostic::error(
-                    "coverage",
-                    format!("work-groups {reach}..{from} were never executed by the cpu"),
-                ));
-            }
-            reach = reach.max(to);
-        }
-        if reach < total {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{total} were never executed by the cpu"),
-            ));
-        }
-        return out;
-    }
-    if let Some((wf, wt)) = open_wave {
-        if exit_at.is_none() {
-            out.push(LintDiagnostic::error(
-                "gpu-exit",
-                format!("wave {wf}..{wt} never completed and the gpu never exited"),
-            ));
-        }
-    }
-    let Some(exit) = exit_at else {
-        out.push(LintDiagnostic::error("gpu-exit", "gpu never exited"));
-        return out;
-    };
-    let Some(merge) = merge_at else {
-        out.push(LintDiagnostic::error("merge", "diff-merge never completed"));
-        return out;
-    };
-    if merge < exit {
-        out.push(LintDiagnostic::error(
-            "merge",
-            "diff-merge completed before the gpu exit",
-        ));
-    }
-    match completes.as_slice() {
-        [(at, Finisher::Gpu)] => {
-            if *at != merge {
-                out.push(LintDiagnostic::error(
-                    "completion",
-                    "gpu-finished kernel must complete exactly at merge time",
-                ));
-            }
-        }
-        [(at, Finisher::Cpu)] => {
-            if *at >= merge {
-                out.push(LintDiagnostic::error(
-                    "completion",
-                    "cpu-finished kernel must complete strictly before the merge",
-                ));
-            }
-            if !done_subs.iter().any(|(t, f, _)| *f == 0 && t == at) {
-                out.push(LintDiagnostic::error(
-                    "completion",
-                    "cpu finisher without a subkernel reaching work-group 0 at that time",
-                ));
-            }
-        }
-        [] => out.push(LintDiagnostic::error(
-            "completion",
-            "kernel never completed",
-        )),
-        _ => out.push(LintDiagnostic::error(
-            "completion",
-            "kernel completed more than once",
-        )),
-    }
-
-    // Coverage: gpu-executed ranges plus the merged region [watermark, total)
-    // must cover every work-group.
-    let mut covered = exec_ranges;
-    if watermark < total {
-        covered.push((watermark, total));
-    }
-    covered.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in covered {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by either device"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
-        out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by either device"),
-        ));
-    }
-    out
-}
-
-/// One enqueued send in the multi-device replay: `(at, boundary, consumed
-/// ranges)`.
-type EpSendRec = (SimTime, u64, Vec<(u64, u64)>);
-
-/// Per-endpoint replay state of the multi-device linter.
-#[derive(Default)]
-struct EpReplay {
-    open_sub: Option<(u64, u64)>,
-    /// Completed subkernels `(at, from, to)` in completion order.
-    done: Vec<(SimTime, u64, u64)>,
-    /// How many completed subkernels earlier sends already carried.
-    shipped: usize,
-    /// Every send in enqueue order.
-    sends: Vec<EpSendRec>,
-    statuses: usize,
-    lost: bool,
-}
-
-/// Lints an N-device trace: the dev-tagged vocabulary recorded whenever
-/// more than one non-owner endpoint co-executes. Replays, per endpoint,
-/// the subkernel pairing and the send/status queue; globally, the frontier
-/// claim disjointness, the coverage watermark, and the owner's wave walk.
-///
-/// `relaxed` mirrors the legacy linter's recovery-aware mode: retries,
-/// resends and endpoint losses excuse exactly the reordering they cause
-/// (claims may re-cover a lost endpoint's ranges, statuses may apply out
-/// of send order behind a redelivery), and nothing else.
-fn lint_multidev(
-    events: &[TraceEvent],
-    total: u64,
-    depth: u32,
-    relaxed: bool,
-    mut out: Vec<LintDiagnostic>,
-) -> Vec<LintDiagnostic> {
-    use std::collections::BTreeMap;
-
-    let mut prev_at = events[0].at;
-    let mut eps: BTreeMap<u32, EpReplay> = BTreeMap::new();
-    // All claimed ranges with their claimant, for frontier disjointness.
-    let mut claims: Vec<(u64, u64, u32)> = Vec::new();
-    let mut lost_devs: Vec<u32> = Vec::new();
-    // Owner-failover replay: every promotion hands the owner role to a
-    // surviving peer, bumps the epoch, and restarts the wave walk from 0.
-    let mut promotions = 0usize;
-    let mut gpu_losses = 0usize;
-    let mut promoted_devs: Vec<u32> = Vec::new();
-    // Watermark replay: EpStatus events carry the engine's value; the
-    // linter recomputes it from delivered ranges and cross-checks.
-    let mut watermark = total;
-    let mut coverage = crate::frontier::Coverage::new(total);
-    // Delivered-and-credited ranges per endpoint. Owner failover
-    // un-credits the promoted endpoint's deliveries, so the post-promotion
-    // watermark is the covered suffix of the *other* endpoints' ranges —
-    // this map is what lets the replay rebuild it exactly.
-    let mut applied_by_dev: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
-    // GPU wave replay, identical to the two-device linter.
-    let mut expected_next = 0u64;
-    let mut open_wave: Option<(u64, u64)> = None;
-    let mut launches = 0usize;
-    let mut exec_ranges: Vec<(u64, u64)> = Vec::new();
-    let mut exit_at: Option<SimTime> = None;
-    let mut merge_at: Option<SimTime> = None;
-    let mut completes: Vec<(SimTime, Finisher)> = Vec::new();
-
-    for e in &events[1..] {
-        if e.at < prev_at {
-            out.push(LintDiagnostic::error(
-                "chronology",
-                format!("event `{}` is timestamped before its predecessor", e.kind),
-            ));
-        }
-        prev_at = e.at;
-        let exited = exit_at.is_some();
-        match &e.kind {
-            TraceKind::Enqueued { .. } => {
-                out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    "duplicate enqueue record",
-                ));
-            }
-            TraceKind::GpuLaunch => {
-                launches += 1;
-                // Each promotion legally relaunches the owner walk once.
-                if launches > promotions + 1 {
-                    out.push(LintDiagnostic::error("trace-shape", "gpu launched twice"));
-                }
-            }
-            TraceKind::GpuWaveStart { from, to } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "gpu-exit",
-                        format!("wave {from}..{to} started after the gpu exit"),
-                    ));
-                }
-                if open_wave.is_some() {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} started while another wave is running"),
-                    ));
-                }
-                if *from != expected_next {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave starts at {from}, expected {expected_next}"),
-                    ));
-                }
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "wave-bounds",
-                        format!("wave {from}..{to} is empty or reversed"),
-                    ));
-                }
-                let limit = watermark.min(total);
-                if *to > limit {
-                    out.push(LintDiagnostic::error(
-                        "wave-bounds",
-                        format!(
-                            "wave {from}..{to} runs past the watermark {limit} known at its start"
-                        ),
-                    ));
-                }
-                open_wave = Some((*from, *to));
-            }
-            TraceKind::GpuWaveDone {
-                from,
-                to,
-                executed_to,
-            } => match open_wave.take() {
-                Some((wf, wt)) if wf == *from && wt == *to => {
-                    if executed_to < from || executed_to > to {
-                        out.push(LintDiagnostic::error(
-                            "wave-bounds",
-                            format!("wave {from}..{to} reports executing up to {executed_to}"),
-                        ));
-                    }
-                    if *executed_to > *from {
-                        exec_ranges.push((*from, *executed_to));
-                    }
-                    expected_next = *to;
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} finished but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::GpuWaveAborted { from, to } => match open_wave.take() {
-                Some((wf, wt)) if wf == *from && wt == *to => {
-                    if watermark > *from {
-                        out.push(LintDiagnostic::error(
-                            "wave-bounds",
-                            format!(
-                                "wave {from}..{to} aborted although the watermark {watermark} \
-                                 had not covered it"
-                            ),
-                        ));
-                    }
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} aborted but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::GpuExit => {
-                if exited {
-                    out.push(LintDiagnostic::error("gpu-exit", "gpu exited twice"));
-                } else {
-                    if let Some((wf, wt)) = open_wave {
-                        out.push(LintDiagnostic::error(
-                            "gpu-exit",
-                            format!("gpu exited while wave {wf}..{wt} is still running"),
-                        ));
-                    }
-                    let limit = watermark.min(total);
-                    if expected_next < limit {
-                        out.push(LintDiagnostic::error(
-                            "gpu-exit",
-                            format!(
-                                "gpu exited at work-group {expected_next}, below the \
-                                 watermark {limit}"
-                            ),
-                        ));
-                    }
-                    exit_at = Some(e.at);
-                }
-            }
-            TraceKind::MergeDone => {
-                if merge_at.is_some() {
-                    out.push(LintDiagnostic::error("merge", "diff-merge completed twice"));
-                } else {
-                    if exit_at.is_none() {
-                        out.push(LintDiagnostic::error(
-                            "merge",
-                            "diff-merge completed before the gpu exited",
-                        ));
-                    }
-                    merge_at = Some(e.at);
-                }
-            }
             TraceKind::EpSubkernelStart { dev, from, to, .. } => {
                 if exited {
                     out.push(LintDiagnostic::error(
@@ -1028,9 +425,33 @@ fn lint_multidev(
                 }
                 if from >= to || *to > total {
                     out.push(LintDiagnostic::error(
-                        "ep-pairing",
+                        "cpu-contiguity",
                         format!("ep{dev} subkernel {from}..{to} is empty, reversed or oversized"),
                     ));
+                } else if *to == top {
+                    top = *from;
+                } else {
+                    // Above the untouched region only returned ranges are
+                    // claimable: those of an endpoint that was lost or
+                    // promoted (a superset of what the engine returned —
+                    // delivered ranges of a lost endpoint stay claimed,
+                    // and `claim-disjoint` catches a re-claim of those).
+                    let mut returned: Vec<(u64, u64)> = claims
+                        .iter()
+                        .filter(|(_, _, c)| lost_devs.contains(c) || promoted_devs.contains(c))
+                        .map(|&(f, t, _)| (f, t))
+                        .collect();
+                    if *to > top && covered_by(&mut returned, (*from).max(top), *to) {
+                        top = top.min(*from);
+                    } else {
+                        out.push(LintDiagnostic::error(
+                            "cpu-contiguity",
+                            format!(
+                                "ep{dev} subkernel {from}..{to} breaks the descent; expected \
+                                 it to end at the frontier top {top}"
+                            ),
+                        ));
+                    }
                 }
                 let ep = eps.entry(*dev).or_default();
                 if ep.open_sub.is_some() {
@@ -1118,6 +539,8 @@ fn lint_multidev(
                         format!("ep{dev} transfer (boundary {boundary}) carries no subkernels"),
                     ));
                 }
+                // A batch exists precisely because several copies queued up
+                // behind a busy link, which a serial trace never allows.
                 if *subkernels > 1 && depth <= 1 {
                     out.push(LintDiagnostic::error(
                         "coalesced-send",
@@ -1224,6 +647,10 @@ fn lint_multidev(
                 }
                 let ep = eps.entry(*dev).or_default();
                 if relaxed {
+                    // Failed sends produce no status and resends duplicate
+                    // boundaries, so index pairing no longer holds. The
+                    // surviving invariant: every accepted status follows a
+                    // transfer of its endpoint that carried its boundary.
                     match ep
                         .sends
                         .iter()
@@ -1355,13 +782,14 @@ fn lint_multidev(
                 promoted_devs.push(*dev);
                 // The new owner resumes the wave walk from work-group 0.
                 expected_next = 0;
+                wave_aborted = false;
                 // Promotion un-credits the promoted endpoint's delivered
                 // ranges (they leave coverage and return to the frontier
                 // for the survivors), so the engine's watermark may legally
                 // rise here: rebuild it as the covered suffix of the other
                 // endpoints' still-credited deliveries.
                 applied_by_dev.remove(dev);
-                let mut rebuilt = crate::frontier::Coverage::new(total);
+                let mut rebuilt = Coverage::new(total);
                 for ranges in applied_by_dev.values() {
                     for &(f, t) in ranges {
                         rebuilt.add(f, t);
@@ -1391,35 +819,27 @@ fn lint_multidev(
                     ));
                 }
             }
-            TraceKind::DeviceLost { device } => match device {
-                DeviceKind::Gpu => {
-                    // A second owner loss is legal only when a promotion
-                    // installed a new owner in between (cascading failover).
-                    if gpu_losses > promotions {
-                        out.push(LintDiagnostic::error(
-                            "recovery",
-                            "device Gpu was declared lost twice",
-                        ));
-                    }
-                    gpu_losses += 1;
-                    // The acting owner died mid-walk: its running wave is
-                    // abandoned, never completed.
-                    open_wave = None;
+            TraceKind::DeviceLost => {
+                // A second owner loss is legal only when a promotion
+                // installed a new owner in between (cascading failover).
+                if gpu_losses > promotions {
+                    out.push(LintDiagnostic::error(
+                        "recovery",
+                        "device Gpu was declared lost twice",
+                    ));
                 }
-                DeviceKind::Cpu => out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    "legacy cpu-loss record inside a multi-device trace (expected ep0 loss)",
-                )),
-            },
+                gpu_losses += 1;
+                // The acting owner died mid-walk: its running wave is
+                // abandoned, never completed.
+                open_wave = None;
+            }
             TraceKind::KernelComplete { finisher } => {
                 completes.push((e.at, *finisher));
             }
-            other => {
-                out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    format!("legacy two-device event `{other}` inside a multi-device trace"),
-                ));
-            }
+            // Lone-run spans were dispatched to `lint_lone_run` above.
+            TraceKind::GraphRun { .. }
+            | TraceKind::DegradedRun { .. }
+            | TraceKind::EpDegradedRun { .. } => unreachable!("dispatched to lint_lone_run"),
         }
     }
 
@@ -1433,25 +853,21 @@ fn lint_multidev(
         if let Some((sf, st)) = ep.open_sub {
             // A lost endpoint legally leaves exactly its killed subkernel
             // open, and so does a promoted one (its in-flight subkernel is
-            // abandoned when it takes the owner role); any other dangling
-            // subkernel is an engine defect.
+            // abandoned when it takes the owner role); any other claim must
+            // be carried to completion.
             if !ep.lost && !promoted_devs.contains(dev) {
                 out.push(LintDiagnostic::error(
-                    "ep-pairing",
+                    "cpu-contiguity",
                     format!("ep{dev} subkernel {sf}..{st} never completed"),
                 ));
             }
         }
     }
-    let all_done: Vec<(SimTime, u64, u64)> = eps
-        .values()
-        .flat_map(|ep| ep.done.iter().copied())
-        .collect();
-    // The gpu-lost endgame applies only when the *final* acting owner is
+    let all_done = || eps.values().flat_map(|ep| ep.done.iter().copied());
+    // The owner-lost endgame applies only when the *final* acting owner is
     // dead — a promotion that installed a healthy new owner means the
     // kernel still exits, merges and completes through the owner role.
-    let acting_owner_lost = gpu_losses > promotions;
-    if acting_owner_lost {
+    if gpu_losses > promotions {
         // A lost owner never exits and never merges; the non-owners finish
         // the whole NDRange among themselves and the host assembles.
         if exit_at.is_some() {
@@ -1468,7 +884,7 @@ fn lint_multidev(
         }
         match completes.as_slice() {
             [(at, Finisher::Cpu)] => {
-                if !all_done.iter().any(|(t, _, _)| t == at) {
+                if !all_done().any(|(t, _, _)| t == *at) {
                     out.push(LintDiagnostic::error(
                         "completion",
                         "cpu finisher without any subkernel completing at that time",
@@ -1488,24 +904,8 @@ fn lint_multidev(
                 "kernel completed more than once",
             )),
         }
-        let mut covered: Vec<(u64, u64)> = all_done.iter().map(|(_, f, t)| (*f, *t)).collect();
-        covered.sort_unstable();
-        let mut reach = 0u64;
-        for (from, to) in covered {
-            if from > reach {
-                out.push(LintDiagnostic::error(
-                    "coverage",
-                    format!("work-groups {reach}..{from} were never executed by any survivor"),
-                ));
-            }
-            reach = reach.max(to);
-        }
-        if reach < total {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{total} were never executed by any survivor"),
-            ));
-        }
+        let covered = all_done().map(|(_, f, t)| (f, t)).collect();
+        check_coverage(covered, total, "any survivor", &mut out);
         return out;
     }
     if let Some((wf, wt)) = open_wave {
@@ -1530,8 +930,6 @@ fn lint_multidev(
             "diff-merge completed before the gpu exit",
         ));
     }
-    // With several endpoints the final data only ever exists assembled on
-    // the owner, so the kernel always completes through the merge.
     match completes.as_slice() {
         [(at, Finisher::Gpu)] => {
             if *at != merge {
@@ -1541,10 +939,32 @@ fn lint_multidev(
                 ));
             }
         }
-        [(_, Finisher::Cpu)] => out.push(LintDiagnostic::error(
-            "completion",
-            "a multi-device kernel with a healthy owner must be finished by the gpu",
-        )),
+        // The §4.2 shortcut: a CPU that is the sole endpoint and reached
+        // work-group 0 before the merge holds the authoritative data. With
+        // peers the final data only ever exists assembled on the owner.
+        [(at, Finisher::Cpu)] => {
+            if eps.keys().any(|dev| *dev != 0) {
+                out.push(LintDiagnostic::error(
+                    "completion",
+                    "a kernel with peer endpoints and a healthy owner must be finished by the gpu",
+                ));
+            }
+            if *at >= merge {
+                out.push(LintDiagnostic::error(
+                    "completion",
+                    "cpu-finished kernel must complete strictly before the merge",
+                ));
+            }
+            let reached_zero = eps
+                .get(&0)
+                .is_some_and(|ep| ep.done.iter().any(|(t, f, _)| *f == 0 && t == at));
+            if !reached_zero {
+                out.push(LintDiagnostic::error(
+                    "completion",
+                    "cpu finisher without a subkernel reaching work-group 0 at that time",
+                ));
+            }
+        }
         [] => out.push(LintDiagnostic::error(
             "completion",
             "kernel never completed",
@@ -1563,102 +983,28 @@ fn lint_multidev(
     if watermark < total {
         covered.push((watermark, total));
     }
-    covered.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in covered {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by any device"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
-        out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by any device"),
-        ));
-    }
+    check_coverage(covered, total, "any device", &mut out);
     out
 }
 
-/// Lints the trace of a degraded single-device run: after a permanent
-/// device loss, the runtime executes the whole NDRange on the survivor and
-/// records `[Enqueued, DegradedRun, KernelComplete]` — no co-execution
-/// machinery (waves, subkernels, transfers) may appear.
-fn lint_degraded(
+/// Lints a lone-run trace, `[Enqueued, span, KernelComplete]`: one device
+/// ran the whole NDRange alone — a degraded run after a permanent loss
+/// (`graph == false`), or a graph-scheduled node on a peer lane while its
+/// siblings used the other devices (`with_graph_scheduling`). No
+/// co-execution machinery (waves, subkernels, transfers) may appear, the
+/// spans must cover `[0, total)`, and a graph node's spans must all name
+/// one endpoint (a node never migrates mid-flush).
+fn lint_lone_run(
     events: &[TraceEvent],
     total: u64,
+    graph: bool,
     mut out: Vec<LintDiagnostic>,
 ) -> Vec<LintDiagnostic> {
-    let mut prev_at = events[0].at;
-    let mut spans: Vec<(u64, u64)> = Vec::new();
-    let mut completes = 0usize;
-    for e in &events[1..] {
-        if e.at < prev_at {
-            out.push(LintDiagnostic::error(
-                "chronology",
-                format!("event `{}` is timestamped before its predecessor", e.kind),
-            ));
-        }
-        prev_at = e.at;
-        match &e.kind {
-            TraceKind::DegradedRun { from, to, .. } | TraceKind::EpDegradedRun { from, to, .. } => {
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "degraded-shape",
-                        format!("degraded span {from}..{to} is empty or reversed"),
-                    ));
-                }
-                spans.push((*from, *to));
-            }
-            TraceKind::KernelComplete { .. } => completes += 1,
-            TraceKind::DeviceLost { .. } => {}
-            other => out.push(LintDiagnostic::error(
-                "degraded-shape",
-                format!("event `{other}` has no place in a degraded single-device trace"),
-            )),
-        }
-    }
-    if completes != 1 {
-        out.push(LintDiagnostic::error(
-            "completion",
-            format!("degraded run completed {completes} times, expected exactly once"),
-        ));
-    }
-    spans.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in spans {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by the survivor"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
-        out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by the survivor"),
-        ));
-    }
-    out
-}
-
-/// Lints the trace of a graph-scheduled node that ran alone on one
-/// endpoint while its siblings used the other devices
-/// (`with_graph_scheduling`): the runtime records
-/// `[Enqueued, GraphRun, KernelComplete]` — no co-execution machinery
-/// (waves, subkernels, transfers) may appear, the runs must cover
-/// `[0, total)`, and they must all name the same endpoint (one node never
-/// migrates mid-flush).
-fn lint_graph(
-    events: &[TraceEvent],
-    total: u64,
-    mut out: Vec<LintDiagnostic>,
-) -> Vec<LintDiagnostic> {
+    let (rule, what, who) = if graph {
+        ("graph-shape", "graph-run", "the node's endpoint")
+    } else {
+        ("degraded-shape", "degraded", "the survivor")
+    };
     let mut prev_at = events[0].at;
     let mut spans: Vec<(u64, u64)> = Vec::new();
     let mut devs: Vec<u32> = Vec::new();
@@ -1671,54 +1017,47 @@ fn lint_graph(
             ));
         }
         prev_at = e.at;
-        match &e.kind {
-            TraceKind::GraphRun { dev, from, to, .. } => {
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "graph-shape",
-                        format!("graph-run span {from}..{to} is empty or reversed"),
-                    ));
-                }
-                spans.push((*from, *to));
-                devs.push(*dev);
+        let span = match e.kind {
+            TraceKind::GraphRun { dev, from, to, .. } if graph => Some((dev, from, to)),
+            TraceKind::EpDegradedRun { dev, from, to } if !graph => Some((dev, from, to)),
+            TraceKind::DegradedRun { from, to } if !graph => Some((0, from, to)),
+            TraceKind::KernelComplete { .. } => {
+                completes += 1;
+                continue;
             }
-            TraceKind::KernelComplete { .. } => completes += 1,
-            other => out.push(LintDiagnostic::error(
-                "graph-shape",
-                format!("event `{other}` has no place in a graph-run trace"),
-            )),
+            TraceKind::DeviceLost if !graph => continue,
+            _ => None,
+        };
+        let Some((dev, from, to)) = span else {
+            out.push(LintDiagnostic::error(
+                rule,
+                format!("event `{}` has no place in a {what} trace", e.kind),
+            ));
+            continue;
+        };
+        if from >= to {
+            out.push(LintDiagnostic::error(
+                rule,
+                format!("{what} span {from}..{to} is empty or reversed"),
+            ));
         }
+        spans.push((from, to));
+        devs.push(dev);
     }
     if completes != 1 {
         out.push(LintDiagnostic::error(
             "completion",
-            format!("graph node completed {completes} times, expected exactly once"),
+            format!("{what} trace completed {completes} times, expected exactly once"),
         ));
     }
     devs.dedup();
-    if devs.len() > 1 {
+    if graph && devs.len() > 1 {
         out.push(LintDiagnostic::error(
-            "graph-shape",
+            rule,
             "one graph node ran on more than one endpoint",
         ));
     }
-    spans.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in spans {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by the node's endpoint"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
-        out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by the node's endpoint"),
-        ));
-    }
+    check_coverage(spans, total, who, &mut out);
     out
 }
 
@@ -1728,14 +1067,13 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
     let mut out = lint_trace(&report.trace);
     let mut gpu_executed = 0u64;
     let mut cpu_executed = 0u64;
+    let mut peer_executed = 0u64;
     let mut subkernel_starts = 0u64;
     let mut trace_hd_bytes = 0u64;
     let mut final_watermark = report.total_wgs;
     let mut complete: Option<(SimTime, Finisher)> = None;
     let mut trace_total: Option<u64> = None;
     let mut device_lost = false;
-    let mut multi = false;
-    let mut peer_executed = 0u64;
     for e in &report.trace {
         match &e.kind {
             TraceKind::Enqueued { total_wgs, .. } => {
@@ -1750,55 +1088,23 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
             TraceKind::GpuWaveDone {
                 from, executed_to, ..
             } => gpu_executed += executed_to.saturating_sub(*from),
-            TraceKind::CpuSubkernelStart { .. } => subkernel_starts += 1,
-            TraceKind::CpuSubkernelDone { from, to } => cpu_executed += to - from,
-            TraceKind::HdEnqueued { bytes, .. } | TraceKind::CoalescedSend { bytes, .. } => {
-                trace_hd_bytes += bytes
-            }
-            TraceKind::StatusArrived { boundary } => {
-                final_watermark = final_watermark.min(*boundary);
-            }
             TraceKind::KernelComplete { finisher } => complete = Some((e.at, *finisher)),
-            TraceKind::DegradedRun { device, from, to } => match device {
-                DeviceKind::Cpu => cpu_executed += to - from,
-                DeviceKind::Gpu => gpu_executed += to - from,
-            },
-            TraceKind::DeviceLost { .. } => device_lost = true,
-            TraceKind::EpSubkernelStart { .. } => {
-                multi = true;
-                subkernel_starts += 1;
-            }
-            TraceKind::EpSubkernelDone { dev, from, to } => {
-                multi = true;
+            TraceKind::DegradedRun { from, to } => gpu_executed += to - from,
+            TraceKind::DeviceLost | TraceKind::NonOwnerLost { .. } => device_lost = true,
+            TraceKind::EpSubkernelStart { .. } => subkernel_starts += 1,
+            TraceKind::EpSubkernelDone { dev, from, to }
+            | TraceKind::EpDegradedRun { dev, from, to } => {
                 if *dev == 0 {
                     cpu_executed += to - from;
                 } else {
                     peer_executed += to - from;
                 }
             }
-            TraceKind::EpSend { bytes, .. } => {
-                multi = true;
-                trace_hd_bytes += bytes;
-            }
+            TraceKind::EpSend { bytes, .. } => trace_hd_bytes += bytes,
             TraceKind::EpStatus { watermark, .. } => {
-                multi = true;
                 final_watermark = final_watermark.min(*watermark);
             }
-            TraceKind::NonOwnerLost { .. } => {
-                multi = true;
-                device_lost = true;
-            }
-            TraceKind::OwnerPromoted { .. } | TraceKind::EpochRejected { .. } => {
-                multi = true;
-            }
-            TraceKind::EpDegradedRun { from, to, .. } => {
-                multi = true;
-                peer_executed += to - from;
-            }
-            TraceKind::GraphRun { from, to, .. } => {
-                multi = true;
-                peer_executed += to - from;
-            }
+            TraceKind::GraphRun { from, to, .. } => peer_executed += to - from,
             _ => {}
         }
     }
@@ -1825,50 +1131,44 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
         cpu_executed,
         report.cpu_executed_wgs,
     );
-    // After a device loss the merged region is decoupled from the
-    // watermark (a lost GPU merges nothing at all), so the watermark
-    // cross-check only holds for fault-free and transfer-fault runs. In a
-    // multi-device trace delivered islands below the final watermark also
-    // merge, so the watermark gives a lower bound instead of an equality.
-    if !device_lost && !multi {
-        mismatch(
-            "cpu-merged work-groups",
-            report.total_wgs - final_watermark,
-            report.cpu_merged_wgs,
-        );
-    }
-    if multi {
-        mismatch(
-            "peer-executed work-groups",
-            peer_executed,
-            report.peer_executed_wgs.iter().sum(),
-        );
-    }
+    mismatch(
+        "peer-executed work-groups",
+        peer_executed,
+        report.peer_executed_wgs.iter().sum(),
+    );
     mismatch("subkernels", subkernel_starts, report.subkernels);
     mismatch("hd bytes", trace_hd_bytes, report.hd_bytes);
-    // In a multi-device trace delivered islands below the final watermark
-    // also merge, so the watermark bounds the merged count from below and
-    // the endpoints' executed total bounds it from above.
-    if multi && !device_lost {
-        if report.cpu_merged_wgs < report.total_wgs - final_watermark {
-            out.push(LintDiagnostic::error(
-                "report-consistency",
-                format!(
-                    "report merges {} work-groups but the delivered suffix alone covers {}",
-                    report.cpu_merged_wgs,
-                    report.total_wgs - final_watermark
-                ),
-            ));
-        }
-        if report.cpu_merged_wgs > cpu_executed + peer_executed {
-            out.push(LintDiagnostic::error(
-                "report-consistency",
-                format!(
-                    "report merges {} work-groups but the endpoints only executed {}",
-                    report.cpu_merged_wgs,
-                    cpu_executed + peer_executed
-                ),
-            ));
+    // After a device loss the merged region is decoupled from the
+    // watermark (a lost GPU merges nothing at all), so the watermark
+    // cross-check only holds for fault-free and transfer-fault runs. With
+    // the CPU as the sole endpoint the merged region is exactly the
+    // delivered suffix; with peers, delivered islands below the final
+    // watermark also merge, so the watermark bounds the merged count from
+    // below and the endpoints' executed total bounds it from above.
+    if !device_lost {
+        let suffix = report.total_wgs - final_watermark;
+        if report.peer_executed_wgs.is_empty() {
+            mismatch("cpu-merged work-groups", suffix, report.cpu_merged_wgs);
+        } else {
+            if report.cpu_merged_wgs < suffix {
+                out.push(LintDiagnostic::error(
+                    "report-consistency",
+                    format!(
+                        "report merges {} work-groups but the delivered suffix alone covers {suffix}",
+                        report.cpu_merged_wgs
+                    ),
+                ));
+            }
+            if report.cpu_merged_wgs > cpu_executed + peer_executed {
+                out.push(LintDiagnostic::error(
+                    "report-consistency",
+                    format!(
+                        "report merges {} work-groups but the endpoints only executed {}",
+                        report.cpu_merged_wgs,
+                        cpu_executed + peer_executed
+                    ),
+                ));
+            }
         }
     }
     if let Some((at, finisher)) = complete {
@@ -1894,80 +1194,77 @@ mod tests {
         }
     }
 
+    fn start(dev: u32, from: u64, to: u64) -> TraceKind {
+        TraceKind::EpSubkernelStart {
+            dev,
+            from,
+            to,
+            version: 0,
+        }
+    }
+
+    fn done(dev: u32, from: u64, to: u64) -> TraceKind {
+        TraceKind::EpSubkernelDone { dev, from, to }
+    }
+
+    fn send(dev: u32, boundary: u64) -> TraceKind {
+        TraceKind::EpSend {
+            dev,
+            boundary,
+            bytes: 64,
+            dirty_bytes: None,
+            subkernels: 1,
+        }
+    }
+
+    fn status(dev: u32, boundary: u64, watermark: u64) -> TraceKind {
+        TraceKind::EpStatus {
+            dev,
+            boundary,
+            watermark,
+        }
+    }
+
+    fn enqueued(total_wgs: u64) -> TraceKind {
+        TraceKind::Enqueued {
+            total_wgs,
+            pipeline_depth: 1,
+        }
+    }
+
+    fn complete(finisher: Finisher) -> TraceKind {
+        TraceKind::KernelComplete { finisher }
+    }
+
+    fn wave_done(from: u64, to: u64, executed_to: u64) -> TraceKind {
+        TraceKind::GpuWaveDone {
+            from,
+            to,
+            executed_to,
+        }
+    }
+
     /// A legal co-execution over 4 work-groups: the CPU takes the top two
     /// one at a time, the first status arrives in time, the second never
     /// does (its transfer is in flight when the GPU exits).
     fn legal_trace() -> Vec<TraceEvent> {
         vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 4,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                5,
-                TraceKind::CpuSubkernelStart {
-                    from: 3,
-                    to: 4,
-                    version: 0,
-                },
-            ),
+            ev(0, enqueued(4)),
+            ev(5, start(0, 3, 4)),
             ev(10, TraceKind::GpuLaunch),
             ev(10, TraceKind::GpuWaveStart { from: 0, to: 2 }),
-            ev(20, TraceKind::CpuSubkernelDone { from: 3, to: 4 }),
-            ev(
-                25,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                25,
-                TraceKind::CpuSubkernelStart {
-                    from: 2,
-                    to: 3,
-                    version: 0,
-                },
-            ),
-            ev(
-                30,
-                TraceKind::GpuWaveDone {
-                    from: 0,
-                    to: 2,
-                    executed_to: 2,
-                },
-            ),
+            ev(20, done(0, 3, 4)),
+            ev(25, send(0, 3)),
+            ev(25, start(0, 2, 3)),
+            ev(30, wave_done(0, 2, 2)),
             ev(30, TraceKind::GpuWaveStart { from: 2, to: 4 }),
-            ev(35, TraceKind::StatusArrived { boundary: 3 }),
-            ev(38, TraceKind::CpuSubkernelDone { from: 2, to: 3 }),
-            ev(
-                39,
-                TraceKind::HdEnqueued {
-                    boundary: 2,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                40,
-                TraceKind::GpuWaveDone {
-                    from: 2,
-                    to: 4,
-                    executed_to: 3,
-                },
-            ),
+            ev(35, status(0, 3, 3)),
+            ev(38, done(0, 2, 3)),
+            ev(39, send(0, 2)),
+            ev(40, wave_done(2, 4, 3)),
             ev(40, TraceKind::GpuExit),
             ev(45, TraceKind::MergeDone),
-            ev(
-                45,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
+            ev(45, complete(Finisher::Gpu)),
         ]
     }
 
@@ -1990,10 +1287,16 @@ mod tests {
     #[test]
     fn rising_watermark_is_flagged() {
         let mut t = legal_trace();
-        // The status claims a boundary above the current watermark (4).
+        // The status claims a watermark above the current one (4).
         for e in &mut t {
-            if let TraceKind::StatusArrived { boundary } = &mut e.kind {
+            if let TraceKind::EpStatus {
+                boundary,
+                watermark,
+                ..
+            } = &mut e.kind
+            {
                 *boundary = 5;
+                *watermark = 5;
             }
         }
         let diags = lint_trace(&t);
@@ -2006,7 +1309,7 @@ mod tests {
     #[test]
     fn status_without_transfer_is_flagged() {
         let mut t = legal_trace();
-        t.retain(|e| !matches!(e.kind, TraceKind::HdEnqueued { .. }));
+        t.retain(|e| !matches!(e.kind, TraceKind::EpSend { .. }));
         let diags = lint_trace(&t);
         assert!(
             diags.iter().any(|d| d.rule == "data-before-status"),
@@ -2018,7 +1321,7 @@ mod tests {
     fn status_faster_than_its_data_is_flagged() {
         let mut t = legal_trace();
         for e in &mut t {
-            if matches!(e.kind, TraceKind::StatusArrived { .. }) {
+            if matches!(e.kind, TraceKind::EpStatus { .. }) {
                 e.at = SimTime::from_nanos(24); // before the 25ns send
             }
         }
@@ -2036,7 +1339,7 @@ mod tests {
         // Deliver the status before the second wave starts: the 2..4 wave
         // then runs past the watermark 3 known at its start.
         for e in &mut t {
-            if matches!(e.kind, TraceKind::StatusArrived { .. }) {
+            if matches!(e.kind, TraceKind::EpStatus { .. }) {
                 e.at = SimTime::from_nanos(28);
             }
         }
@@ -2087,7 +1390,7 @@ mod tests {
     fn non_contiguous_subkernels_are_flagged() {
         let mut t = legal_trace();
         for e in &mut t {
-            if let TraceKind::CpuSubkernelStart { from, to, .. } = &mut e.kind {
+            if let TraceKind::EpSubkernelStart { from, to, .. } = &mut e.kind {
                 if *to == 3 {
                     // Second subkernel skips a work-group: 1..2 instead of 2..3.
                     *from = 1;
@@ -2105,12 +1408,7 @@ mod tests {
     #[test]
     fn double_completion_is_flagged() {
         let mut t = legal_trace();
-        t.push(ev(
-            50,
-            TraceKind::KernelComplete {
-                finisher: Finisher::Gpu,
-            },
-        ));
+        t.push(ev(50, complete(Finisher::Gpu)));
         let diags = lint_trace(&t);
         assert!(diags.iter().any(|d| d.rule == "completion"), "{diags:?}");
     }
@@ -2135,11 +1433,53 @@ mod tests {
         assert!(diags.iter().any(|d| d.rule == "completion"), "{diags:?}");
     }
 
+    /// The §4.2 shortcut: the sole endpoint descends to work-group 0 while
+    /// the GPU is still in its first wave, so the CPU finishes the kernel
+    /// before the merge.
+    fn cpu_finish_trace() -> Vec<TraceEvent> {
+        vec![
+            ev(0, enqueued(2)),
+            ev(5, start(0, 1, 2)),
+            ev(10, TraceKind::GpuLaunch),
+            ev(10, TraceKind::GpuWaveStart { from: 0, to: 1 }),
+            ev(12, done(0, 1, 2)),
+            ev(12, send(0, 1)),
+            ev(12, start(0, 0, 1)),
+            ev(15, status(0, 1, 1)),
+            ev(18, done(0, 0, 1)),
+            ev(18, complete(Finisher::Cpu)),
+            ev(20, send(0, 0)),
+            ev(40, wave_done(0, 1, 1)),
+            ev(40, TraceKind::GpuExit),
+            ev(45, TraceKind::MergeDone),
+        ]
+    }
+
+    #[test]
+    fn sole_cpu_reaching_zero_may_finish_first() {
+        assert_eq!(lint_trace(&cpu_finish_trace()), vec![]);
+    }
+
+    #[test]
+    fn cpu_finisher_is_illegal_with_peer_endpoints() {
+        // The same shape with a peer endpoint that died before claiming
+        // anything: with peers the data only exists assembled on the owner.
+        let mut t = cpu_finish_trace();
+        t.insert(1, ev(1, TraceKind::NonOwnerLost { dev: 1 }));
+        let diags = lint_trace(&t);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "completion" && d.message.contains("peer endpoints")),
+            "{diags:?}"
+        );
+    }
+
     #[test]
     fn consistent_dirty_byte_accounting_is_clean() {
         let mut t = legal_trace();
         for e in &mut t {
-            if let TraceKind::HdEnqueued {
+            if let TraceKind::EpSend {
                 bytes, dirty_bytes, ..
             } = &mut e.kind
             {
@@ -2154,7 +1494,7 @@ mod tests {
     fn over_shipped_transfer_is_flagged() {
         let mut t = legal_trace();
         for e in &mut t {
-            if let TraceKind::HdEnqueued {
+            if let TraceKind::EpSend {
                 bytes, dirty_bytes, ..
             } = &mut e.kind
             {
@@ -2170,85 +1510,42 @@ mod tests {
         );
     }
 
+    #[test]
+    fn batch_in_a_serial_trace_is_flagged() {
+        let mut t = legal_trace();
+        for e in &mut t {
+            if let TraceKind::EpSend { subkernels, .. } = &mut e.kind {
+                *subkernels = 2;
+            }
+        }
+        let diags = lint_trace(&t);
+        assert!(
+            diags.iter().any(|d| d.rule == "coalesced-send"),
+            "{diags:?}"
+        );
+    }
+
     /// A legal GPU-loss recovery over 4 work-groups: the first wave is
     /// killed (never completes), the CPU keeps descending to work-group 0
     /// and finishes the kernel alone — no exit, no merge.
     fn gpu_loss_trace() -> Vec<TraceEvent> {
         vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 4,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                5,
-                TraceKind::CpuSubkernelStart {
-                    from: 3,
-                    to: 4,
-                    version: 0,
-                },
-            ),
+            ev(0, enqueued(4)),
+            ev(5, start(0, 3, 4)),
             ev(10, TraceKind::GpuLaunch),
             ev(10, TraceKind::GpuWaveStart { from: 0, to: 2 }),
-            ev(20, TraceKind::CpuSubkernelDone { from: 3, to: 4 }),
-            ev(
-                25,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                25,
-                TraceKind::CpuSubkernelStart {
-                    from: 2,
-                    to: 3,
-                    version: 0,
-                },
-            ),
-            ev(35, TraceKind::StatusArrived { boundary: 3 }),
-            ev(38, TraceKind::CpuSubkernelDone { from: 2, to: 3 }),
-            ev(
-                39,
-                TraceKind::HdEnqueued {
-                    boundary: 2,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                39,
-                TraceKind::CpuSubkernelStart {
-                    from: 1,
-                    to: 2,
-                    version: 0,
-                },
-            ),
-            ev(45, TraceKind::CpuSubkernelDone { from: 1, to: 2 }),
-            ev(
-                46,
-                TraceKind::CpuSubkernelStart {
-                    from: 0,
-                    to: 1,
-                    version: 0,
-                },
-            ),
-            ev(
-                50,
-                TraceKind::DeviceLost {
-                    device: DeviceKind::Gpu,
-                },
-            ),
-            ev(52, TraceKind::CpuSubkernelDone { from: 0, to: 1 }),
-            ev(
-                52,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Cpu,
-                },
-            ),
+            ev(20, done(0, 3, 4)),
+            ev(25, send(0, 3)),
+            ev(25, start(0, 2, 3)),
+            ev(35, status(0, 3, 3)),
+            ev(38, done(0, 2, 3)),
+            ev(39, send(0, 2)),
+            ev(39, start(0, 1, 2)),
+            ev(45, done(0, 1, 2)),
+            ev(46, start(0, 0, 1)),
+            ev(50, TraceKind::DeviceLost),
+            ev(52, done(0, 0, 1)),
+            ev(52, complete(Finisher::Cpu)),
         ]
     }
 
@@ -2276,8 +1573,8 @@ mod tests {
         t.retain(|e| {
             !matches!(
                 e.kind,
-                TraceKind::CpuSubkernelStart { from: 0, .. }
-                    | TraceKind::CpuSubkernelDone { from: 0, .. }
+                TraceKind::EpSubkernelStart { from: 0, .. }
+                    | TraceKind::EpSubkernelDone { from: 0, .. }
             )
         });
         let diags = lint_trace(&t);
@@ -2290,23 +1587,8 @@ mod tests {
         // subkernel stays open; the loss is detected (and recorded) only
         // when the watchdog drains after completion.
         let mut t = legal_trace();
-        t.insert(
-            12,
-            ev(
-                39,
-                TraceKind::CpuSubkernelStart {
-                    from: 1,
-                    to: 2,
-                    version: 0,
-                },
-            ),
-        );
-        t.push(ev(
-            60,
-            TraceKind::DeviceLost {
-                device: DeviceKind::Cpu,
-            },
-        ));
+        t.insert(12, ev(39, start(0, 1, 2)));
+        t.push(ev(60, TraceKind::NonOwnerLost { dev: 0 }));
         t.sort_by_key(|e| e.at);
         assert_eq!(lint_trace(&t), vec![]);
     }
@@ -2314,21 +1596,63 @@ mod tests {
     #[test]
     fn open_subkernel_without_recorded_loss_is_still_flagged() {
         let mut t = legal_trace();
-        t.insert(
-            12,
-            ev(
-                39,
-                TraceKind::CpuSubkernelStart {
-                    from: 1,
-                    to: 2,
-                    version: 0,
-                },
-            ),
-        );
+        t.insert(12, ev(39, start(0, 1, 2)));
         t.sort_by_key(|e| e.at);
         let diags = lint_trace(&t);
         assert!(
             diags.iter().any(|d| d.rule == "cpu-contiguity"),
+            "{diags:?}"
+        );
+    }
+
+    /// A legal peer loss over 8 work-groups: ep1 dies holding 4..6, and the
+    /// CPU re-claims the returned range above the untouched frontier.
+    fn peer_loss_trace() -> Vec<TraceEvent> {
+        vec![
+            ev(0, enqueued(8)),
+            ev(1, start(0, 6, 8)),
+            ev(2, start(1, 4, 6)),
+            ev(3, TraceKind::GpuLaunch),
+            ev(3, TraceKind::GpuWaveStart { from: 0, to: 2 }),
+            ev(10, TraceKind::NonOwnerLost { dev: 1 }),
+            ev(11, done(0, 6, 8)),
+            ev(12, send(0, 6)),
+            ev(12, start(0, 4, 6)),
+            ev(15, wave_done(0, 2, 2)),
+            ev(15, TraceKind::GpuWaveStart { from: 2, to: 4 }),
+            ev(16, status(0, 6, 6)),
+            ev(20, done(0, 4, 6)),
+            ev(20, send(0, 4)),
+            ev(25, wave_done(2, 4, 4)),
+            ev(26, status(0, 4, 4)),
+            ev(26, TraceKind::GpuExit),
+            ev(30, TraceKind::MergeDone),
+            ev(30, complete(Finisher::Gpu)),
+        ]
+    }
+
+    #[test]
+    fn returned_range_may_be_reclaimed_above_the_frontier_top() {
+        assert_eq!(lint_trace(&peer_loss_trace()), vec![]);
+    }
+
+    #[test]
+    fn claim_above_the_top_without_a_recorded_return_is_flagged() {
+        // ep1 completes 4..6 instead of dying: nothing returned the range,
+        // so the CPU's re-claim breaks the descent and overlaps ep1.
+        let mut t = peer_loss_trace();
+        for e in &mut t {
+            if matches!(e.kind, TraceKind::NonOwnerLost { .. }) {
+                e.kind = done(1, 4, 6);
+            }
+        }
+        let diags = lint_trace(&t);
+        assert!(
+            diags.iter().any(|d| d.rule == "cpu-contiguity"),
+            "{diags:?}"
+        );
+        assert!(
+            diags.iter().any(|d| d.rule == "claim-disjoint"),
             "{diags:?}"
         );
     }
@@ -2338,90 +1662,31 @@ mod tests {
         // The first transfer (boundary 3) fails transiently and is resent;
         // its status arrives late, interleaved with the boundary-2 send.
         let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 4,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                5,
-                TraceKind::CpuSubkernelStart {
-                    from: 3,
-                    to: 4,
-                    version: 0,
-                },
-            ),
+            ev(0, enqueued(4)),
+            ev(5, start(0, 3, 4)),
             ev(10, TraceKind::GpuLaunch),
             ev(10, TraceKind::GpuWaveStart { from: 0, to: 2 }),
-            ev(20, TraceKind::CpuSubkernelDone { from: 3, to: 4 }),
-            ev(
-                25,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                25,
-                TraceKind::CpuSubkernelStart {
-                    from: 2,
-                    to: 3,
-                    version: 0,
-                },
-            ),
-            ev(
-                30,
-                TraceKind::GpuWaveDone {
-                    from: 0,
-                    to: 2,
-                    executed_to: 2,
-                },
-            ),
+            ev(20, done(0, 3, 4)),
+            ev(25, send(0, 3)),
+            ev(25, start(0, 2, 3)),
+            ev(30, wave_done(0, 2, 2)),
             ev(30, TraceKind::GpuWaveStart { from: 2, to: 4 }),
             ev(
                 35,
-                TraceKind::TransferFault {
+                TraceKind::EpTransferFault {
+                    dev: 0,
                     boundary: 3,
                     attempt: 1,
                 },
             ),
-            ev(
-                36,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(38, TraceKind::CpuSubkernelDone { from: 2, to: 3 }),
-            ev(
-                39,
-                TraceKind::HdEnqueued {
-                    boundary: 2,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(39, TraceKind::StatusArrived { boundary: 3 }),
-            ev(
-                40,
-                TraceKind::GpuWaveDone {
-                    from: 2,
-                    to: 4,
-                    executed_to: 3,
-                },
-            ),
+            ev(36, send(0, 3)),
+            ev(38, done(0, 2, 3)),
+            ev(39, send(0, 2)),
+            ev(39, status(0, 3, 3)),
+            ev(40, wave_done(2, 4, 3)),
             ev(40, TraceKind::GpuExit),
             ev(45, TraceKind::MergeDone),
-            ev(
-                45,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
+            ev(45, complete(Finisher::Gpu)),
         ];
         assert_eq!(lint_trace(&t), vec![]);
     }
@@ -2433,7 +1698,8 @@ mod tests {
             10,
             ev(
                 36,
-                TraceKind::TransferFault {
+                TraceKind::EpTransferFault {
+                    dev: 0,
                     boundary: 1,
                     attempt: 1,
                 },
@@ -2447,27 +1713,16 @@ mod tests {
     #[test]
     fn degraded_trace_is_legal() {
         let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 8,
-                    pipeline_depth: 1,
-                },
-            ),
+            ev(0, enqueued(8)),
             ev(
                 3,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Cpu,
+                TraceKind::EpDegradedRun {
+                    dev: 0,
                     from: 0,
                     to: 8,
                 },
             ),
-            ev(
-                90,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Cpu,
-                },
-            ),
+            ev(90, complete(Finisher::Cpu)),
         ];
         assert_eq!(lint_trace(&t), vec![]);
     }
@@ -2475,27 +1730,9 @@ mod tests {
     #[test]
     fn degraded_trace_with_coverage_gap_is_flagged() {
         let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 8,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                3,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Gpu,
-                    from: 0,
-                    to: 6,
-                },
-            ),
-            ev(
-                90,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
+            ev(0, enqueued(8)),
+            ev(3, TraceKind::DegradedRun { from: 0, to: 6 }),
+            ev(90, complete(Finisher::Gpu)),
         ];
         let diags = lint_trace(&t);
         assert!(diags.iter().any(|d| d.rule == "coverage"), "{diags:?}");
@@ -2504,28 +1741,10 @@ mod tests {
     #[test]
     fn coexec_machinery_inside_degraded_trace_is_flagged() {
         let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 8,
-                    pipeline_depth: 1,
-                },
-            ),
+            ev(0, enqueued(8)),
             ev(2, TraceKind::GpuLaunch),
-            ev(
-                3,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Gpu,
-                    from: 0,
-                    to: 8,
-                },
-            ),
-            ev(
-                90,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
+            ev(3, TraceKind::DegradedRun { from: 0, to: 8 }),
+            ev(90, complete(Finisher::Gpu)),
         ];
         let diags = lint_trace(&t);
         assert!(

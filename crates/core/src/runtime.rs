@@ -347,10 +347,13 @@ impl Fluidicl {
         let complete_at = start + duration;
         trace.push(TraceEvent {
             at: start,
-            kind: TraceKind::DegradedRun {
-                device: survivor,
-                from: 0,
-                to: total,
+            kind: match survivor {
+                DeviceKind::Cpu => TraceKind::EpDegradedRun {
+                    dev: 0,
+                    from: 0,
+                    to: total,
+                },
+                DeviceKind::Gpu => TraceKind::DegradedRun { from: 0, to: total },
             },
         });
         trace.push(TraceEvent {
@@ -807,8 +810,8 @@ impl Fluidicl {
             cpu_mem: &mut self.cpu_mem,
             gpu_mem: &mut self.gpu_mem,
             snapshots: &mut self.snapshots,
-            // Sibling graph nodes occupy the peers; this node runs the
-            // legacy two-device protocol.
+            // Sibling graph nodes occupy the peers; this node co-executes
+            // on the owner and the CPU alone.
             peers: Vec::new(),
             injector: None,
             dead_cpu: false,

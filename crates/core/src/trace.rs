@@ -9,7 +9,6 @@
 use std::fmt;
 
 use fluidicl_des::SimTime;
-use fluidicl_vcl::DeviceKind;
 
 use crate::stats::Finisher;
 
@@ -64,92 +63,18 @@ pub enum TraceKind {
     GpuExit,
     /// The diff-merge kernel finished on the GPU (paper §4.3).
     MergeDone,
-    /// A CPU subkernel over `[from, to)` was launched with kernel version
-    /// `version`.
-    CpuSubkernelStart {
-        /// First flattened work-group of the subkernel.
-        from: u64,
-        /// One past the last work-group of the subkernel.
-        to: u64,
-        /// Kernel version index used (paper §6.6).
-        version: usize,
-    },
-    /// A CPU subkernel finished computing.
-    CpuSubkernelDone {
-        /// First flattened work-group of the subkernel.
-        from: u64,
-        /// One past the last work-group of the subkernel.
-        to: u64,
-    },
-    /// CPU results + status were enqueued on the hd queue (paper §5.4).
-    HdEnqueued {
-        /// Completion boundary the status message will carry.
-        boundary: u64,
-        /// Payload size in bytes.
-        bytes: u64,
-        /// Coalesced dirty payload in bytes when dirty-range transfers
-        /// are on (`bytes` must equal this plus [`STATUS_MSG_BYTES`]);
-        /// `None` under the whole-buffer protocol.
-        dirty_bytes: Option<u64>,
-    },
-    /// Results of several back-to-back completed subkernels were enqueued
-    /// as **one** data payload + **one** status message (pipeline depth
-    /// ≥ 2): their dirty ranges are unioned and the status carries the
-    /// minimum boundary of the batch.
-    CoalescedSend {
-        /// Completion boundary the single status message will carry — the
-        /// lowest `from` of the batched subkernels.
-        boundary: u64,
-        /// Combined payload size in bytes.
-        bytes: u64,
-        /// Unioned dirty payload in bytes when dirty-range transfers are
-        /// on (`bytes` must equal this plus [`STATUS_MSG_BYTES`]); `None`
-        /// under the whole-buffer protocol.
-        dirty_bytes: Option<u64>,
-        /// How many completed subkernels the batch carries (≥ 2).
-        subkernels: u32,
-    },
-    /// A status message reached the GPU: everything at or above `boundary`
-    /// is now CPU-complete *and* resident on the GPU (paper §4.2).
-    StatusArrived {
-        /// New completion watermark.
-        boundary: u64,
-    },
     /// The kernel completed from the host's perspective.
     KernelComplete {
         /// Which device established the final data.
         finisher: Finisher,
     },
-    /// A transfer attempt failed transiently (detected at its expected
-    /// completion instant) and will be retried after a backoff.
-    TransferFault {
-        /// Boundary the failed send carried.
-        boundary: u64,
-        /// 1-based attempt number that failed.
-        attempt: u32,
-    },
-    /// A delivered transfer failed its payload/status checksum and was
-    /// rejected; the sender resends.
-    TransferRejected {
-        /// Boundary the rejected send carried.
-        boundary: u64,
-    },
-    /// A transfer missed its watchdog deadline: the hd link is abandoned
-    /// and no further subkernels are shipped.
-    TransferTimeout {
-        /// Boundary the stalled send carried.
-        boundary: u64,
-    },
-    /// A device missed a watchdog deadline and was declared lost.
-    DeviceLost {
-        /// The device that died.
-        device: DeviceKind,
-    },
-    /// The surviving device executed work-groups `[from, to)` alone
-    /// (single-device degraded mode after a permanent loss).
+    /// The acting owner GPU missed a wave watchdog deadline and was
+    /// declared lost (a non-owner endpoint's loss is [`TraceKind::NonOwnerLost`]).
+    DeviceLost,
+    /// The owner GPU executed work-groups `[from, to)` alone (single-device
+    /// degraded mode after the CPU was permanently lost; a surviving
+    /// non-owner's lone run is [`TraceKind::EpDegradedRun`]).
     DegradedRun {
-        /// The surviving device.
-        device: DeviceKind,
         /// First flattened work-group of the degraded run.
         from: u64,
         /// One past the last work-group of the degraded run.
@@ -157,8 +82,8 @@ pub enum TraceKind {
     },
     /// A non-owner endpoint launched a subkernel over a range it claimed
     /// from the shared frontier. Endpoint 0 is the CPU; endpoints 1 and up
-    /// are peer GPUs. Only emitted on runs with more than one non-owner —
-    /// two-device runs keep the legacy `CpuSubkernelStart` vocabulary.
+    /// are peer GPUs. With the CPU as the sole endpoint the claims are the
+    /// paper's top-down subkernel descent (Figure 7).
     EpSubkernelStart {
         /// Endpoint index (0 = CPU, 1.. = peer GPUs).
         dev: u32,
@@ -179,7 +104,10 @@ pub enum TraceKind {
         to: u64,
     },
     /// A non-owner endpoint enqueued results + one status message on its
-    /// own upstream link (1 subkernel = the plain send, ≥ 2 = coalesced).
+    /// own upstream link (paper §5.4; the CPU's link is the hd queue).
+    /// One subkernel is the plain send; ≥ 2 is a batch of back-to-back
+    /// completed subkernels coalesced under pipeline depth ≥ 2, whose
+    /// dirty ranges are unioned into one data payload.
     EpSend {
         /// Endpoint index.
         dev: u32,
@@ -197,7 +125,8 @@ pub enum TraceKind {
     },
     /// A non-owner endpoint's status message reached the owner: the send's
     /// ranges joined the coverage set, whose contiguous top suffix is the
-    /// owner's new watermark.
+    /// owner's new watermark (with the CPU as the sole endpoint, the
+    /// paper's boundary watermark of §4.2).
     EpStatus {
         /// Endpoint index the status came from.
         dev: u32,
@@ -259,10 +188,11 @@ pub enum TraceKind {
         /// Boundary the stale send carried.
         boundary: u64,
     },
-    /// A surviving peer GPU executed work-groups `[from, to)` alone
-    /// (degraded mode when both the CPU and every acting owner are gone).
+    /// A surviving non-owner executed work-groups `[from, to)` alone:
+    /// the CPU (endpoint 0) after the owner GPU was lost, or a peer GPU
+    /// when both the CPU and every acting owner are gone.
     EpDegradedRun {
-        /// Endpoint index of the surviving peer.
+        /// Endpoint index of the survivor.
         dev: u32,
         /// First flattened work-group of the degraded run.
         from: u64,
@@ -273,7 +203,7 @@ pub enum TraceKind {
     /// one endpoint while sibling nodes of the same flushed DAG ran
     /// elsewhere (`with_graph_scheduling`). Endpoint indices follow the
     /// Ep* vocabulary: 1.. are peer GPUs. Nodes placed on the owner
-    /// co-execution lane keep the legacy two-device trace instead.
+    /// co-execution lane record an ordinary co-execution trace instead.
     GraphRun {
         /// Node index within the flushed graph (enqueue order).
         node: u32,
@@ -284,6 +214,60 @@ pub enum TraceKind {
         /// One past the last work-group of the run.
         to: u64,
     },
+}
+
+/// An endpoint's name in a rendered line: endpoint 0 is the CPU, so its
+/// lines read exactly like the paper's two-device protocol; peers are
+/// `ep{dev}`.
+struct EpName(u32);
+
+impl fmt::Display for EpName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            0 => write!(f, "cpu"),
+            dev => write!(f, "ep{dev}"),
+        }
+    }
+}
+
+/// Prefix naming the endpoint whose link a fault line is about: empty for
+/// the CPU (the hd queue of the two-device protocol), `ep{dev} ` for peers.
+struct LinkOf(u32);
+
+impl fmt::Display for LinkOf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            0 => Ok(()),
+            dev => write!(f, "ep{dev} "),
+        }
+    }
+}
+
+/// Tag of the link an endpoint ships on: `hd ` for the CPU (the
+/// two-device protocol's host-to-device queue), `ep{dev}` for peers.
+struct LinkTag(u32);
+
+impl fmt::Display for LinkTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            0 => write!(f, "hd "),
+            dev => write!(f, "ep{dev}"),
+        }
+    }
+}
+
+/// The `, dirty N B` suffix of a send line under dirty-range transfers;
+/// nothing under the whole-buffer protocol, so gate-off traces render the
+/// historical line byte-for-byte.
+struct DirtySuffix(Option<u64>);
+
+impl fmt::Display for DirtySuffix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(d) => write!(f, ", dirty {d} B"),
+            None => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for TraceKind {
@@ -327,72 +311,12 @@ impl fmt::Display for TraceKind {
             }
             TraceKind::GpuExit => write!(f, "[gpu] kernel exit"),
             TraceKind::MergeDone => write!(f, "[gpu] diff-merge done"),
-            TraceKind::CpuSubkernelStart { from, to, version } => {
-                write!(f, "[cpu] subkernel {from}..{to} start (version {version})")
-            }
-            TraceKind::CpuSubkernelDone { from, to } => {
-                write!(f, "[cpu] subkernel {from}..{to} done")
-            }
-            TraceKind::HdEnqueued {
-                boundary,
-                bytes,
-                dirty_bytes,
-            } => match dirty_bytes {
-                // No dirty accounting: render exactly the whole-buffer
-                // protocol line so gate-off traces stay byte-identical.
-                None => write!(
-                    f,
-                    "[hd ] data+status enqueued (boundary {boundary}, {bytes} B)"
-                ),
-                Some(d) => write!(
-                    f,
-                    "[hd ] data+status enqueued (boundary {boundary}, {bytes} B, dirty {d} B)"
-                ),
-            },
-            TraceKind::CoalescedSend {
-                boundary,
-                bytes,
-                dirty_bytes,
-                subkernels,
-            } => match dirty_bytes {
-                None => write!(
-                    f,
-                    "[hd ] coalesced data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B)"
-                ),
-                Some(d) => write!(
-                    f,
-                    "[hd ] coalesced data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B, dirty {d} B)"
-                ),
-            },
-            TraceKind::StatusArrived { boundary } => {
-                write!(f, "[hd ] status arrived: watermark -> {boundary}")
-            }
             TraceKind::KernelComplete { finisher } => {
                 write!(f, "[all] kernel complete (finished by {finisher:?})")
             }
-            TraceKind::TransferFault { boundary, attempt } => {
-                write!(
-                    f,
-                    "[flt] transfer for boundary {boundary} failed (attempt {attempt}), retrying"
-                )
-            }
-            TraceKind::TransferRejected { boundary } => {
-                write!(
-                    f,
-                    "[flt] transfer for boundary {boundary} failed checksum, resending"
-                )
-            }
-            TraceKind::TransferTimeout { boundary } => {
-                write!(
-                    f,
-                    "[flt] transfer for boundary {boundary} missed its deadline, link abandoned"
-                )
-            }
-            TraceKind::DeviceLost { device } => {
-                write!(f, "[flt] {} lost (watchdog deadline missed)", device.name())
-            }
-            TraceKind::DegradedRun { device, from, to } => {
-                write!(f, "[deg] {} finishing {from}..{to} alone", device.name())
+            TraceKind::DeviceLost => write!(f, "[flt] gpu lost (watchdog deadline missed)"),
+            TraceKind::DegradedRun { from, to } => {
+                write!(f, "[deg] gpu finishing {from}..{to} alone")
             }
             TraceKind::EpSubkernelStart {
                 dev,
@@ -402,28 +326,50 @@ impl fmt::Display for TraceKind {
             } => {
                 write!(
                     f,
-                    "[ep{dev}] subkernel {from}..{to} start (version {version})"
+                    "[{}] subkernel {from}..{to} start (version {version})",
+                    EpName(*dev)
                 )
             }
             TraceKind::EpSubkernelDone { dev, from, to } => {
-                write!(f, "[ep{dev}] subkernel {from}..{to} done")
+                write!(f, "[{}] subkernel {from}..{to} done", EpName(*dev))
             }
+            TraceKind::EpSend {
+                dev: 0,
+                boundary,
+                bytes,
+                dirty_bytes,
+                subkernels: 1,
+            } => write!(
+                f,
+                "[hd ] data+status enqueued (boundary {boundary}, {bytes} B{})",
+                DirtySuffix(*dirty_bytes)
+            ),
             TraceKind::EpSend {
                 dev,
                 boundary,
                 bytes,
                 dirty_bytes,
                 subkernels,
-            } => match dirty_bytes {
-                None => write!(
+            } => {
+                let what = if *dev == 0 {
+                    "coalesced data+status"
+                } else {
+                    "data+status"
+                };
+                write!(
                     f,
-                    "[ep{dev}] data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B)"
-                ),
-                Some(d) => write!(
-                    f,
-                    "[ep{dev}] data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B, dirty {d} B)"
-                ),
-            },
+                    "[{}] {what} enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B{})",
+                    LinkTag(*dev),
+                    DirtySuffix(*dirty_bytes)
+                )
+            }
+            TraceKind::EpStatus {
+                dev: 0,
+                boundary,
+                watermark,
+            } if boundary == watermark => {
+                write!(f, "[hd ] status arrived: watermark -> {watermark}")
+            }
             TraceKind::EpStatus {
                 dev,
                 boundary,
@@ -431,7 +377,8 @@ impl fmt::Display for TraceKind {
             } => {
                 write!(
                     f,
-                    "[ep{dev}] status arrived (boundary {boundary}): watermark -> {watermark}"
+                    "[{}] status arrived (boundary {boundary}): watermark -> {watermark}",
+                    LinkTag(*dev)
                 )
             }
             TraceKind::EpTransferFault {
@@ -441,23 +388,26 @@ impl fmt::Display for TraceKind {
             } => {
                 write!(
                     f,
-                    "[flt] ep{dev} transfer for boundary {boundary} failed (attempt {attempt}), retrying"
+                    "[flt] {}transfer for boundary {boundary} failed (attempt {attempt}), retrying",
+                    LinkOf(*dev)
                 )
             }
             TraceKind::EpTransferRejected { dev, boundary } => {
                 write!(
                     f,
-                    "[flt] ep{dev} transfer for boundary {boundary} failed checksum, resending"
+                    "[flt] {}transfer for boundary {boundary} failed checksum, resending",
+                    LinkOf(*dev)
                 )
             }
             TraceKind::EpTransferTimeout { dev, boundary } => {
                 write!(
                     f,
-                    "[flt] ep{dev} transfer for boundary {boundary} missed its deadline, link abandoned"
+                    "[flt] {}transfer for boundary {boundary} missed its deadline, link abandoned",
+                    LinkOf(*dev)
                 )
             }
             TraceKind::NonOwnerLost { dev } => {
-                write!(f, "[flt] ep{dev} lost (watchdog deadline missed)")
+                write!(f, "[flt] {} lost (watchdog deadline missed)", EpName(*dev))
             }
             TraceKind::OwnerPromoted { dev, epoch } => {
                 write!(f, "[flt] ep{dev} promoted to owner (epoch {epoch})")
@@ -469,7 +419,7 @@ impl fmt::Display for TraceKind {
                 )
             }
             TraceKind::EpDegradedRun { dev, from, to } => {
-                write!(f, "[deg] ep{dev} finishing {from}..{to} alone")
+                write!(f, "[deg] {} finishing {from}..{to} alone", EpName(*dev))
             }
             TraceKind::GraphRun {
                 node,
@@ -565,29 +515,14 @@ pub fn render_lanes(kernel: &str, events: &[TraceEvent], width: usize) -> String
             TraceKind::GpuWaveAborted { .. } => gpu[b] = 'x',
             TraceKind::GpuExit => gpu[b] = 'E',
             TraceKind::MergeDone => gpu[b] = 'M',
-            TraceKind::CpuSubkernelStart { .. } => cpu[b] = '[',
-            TraceKind::CpuSubkernelDone { .. } => cpu[b] = ']',
-            TraceKind::HdEnqueued { .. } => hd[b] = '>',
-            // A coalesced batch is still one send on the hd lane.
-            TraceKind::CoalescedSend { .. } => hd[b] = '>',
-            TraceKind::StatusArrived { .. } => hd[b] = '*',
             TraceKind::KernelComplete { .. } => gpu[b] = '!',
-            TraceKind::TransferFault { .. } => hd[b] = 'f',
-            TraceKind::TransferRejected { .. } => hd[b] = 'r',
-            TraceKind::TransferTimeout { .. } => hd[b] = 'T',
-            TraceKind::DeviceLost { device } => match device {
-                DeviceKind::Gpu => gpu[b] = 'X',
-                DeviceKind::Cpu => cpu[b] = 'X',
-            },
-            TraceKind::DegradedRun { device, .. } => match device {
-                DeviceKind::Gpu => gpu[b] = 'D',
-                DeviceKind::Cpu => cpu[b] = 'D',
-            },
-            // N-device vocabulary: every non-owner endpoint computes on the
-            // cpu lane and ships on the hd lane. Legacy traces never carry
-            // these variants, so the two-device rendering is untouched.
+            TraceKind::DeviceLost => gpu[b] = 'X',
+            TraceKind::DegradedRun { .. } => gpu[b] = 'D',
+            // Every non-owner endpoint computes on the cpu lane and ships
+            // on the hd lane.
             TraceKind::EpSubkernelStart { .. } => cpu[b] = '[',
             TraceKind::EpSubkernelDone { .. } => cpu[b] = ']',
+            // A coalesced batch is still one send on the hd lane.
             TraceKind::EpSend { .. } => hd[b] = '>',
             TraceKind::EpStatus { .. } => hd[b] = '*',
             TraceKind::EpTransferFault { .. } => hd[b] = 'f',
@@ -598,6 +533,9 @@ pub fn render_lanes(kernel: &str, events: &[TraceEvent], width: usize) -> String
             // (owner) lane; a stale-epoch rejection is link traffic.
             TraceKind::OwnerPromoted { .. } => gpu[b] = 'P',
             TraceKind::EpochRejected { .. } => hd[b] = 'e',
+            // The CPU finishing alone stays on its own lane; a lone peer
+            // takes over the gpu lane.
+            TraceKind::EpDegradedRun { dev: 0, .. } => cpu[b] = 'D',
             TraceKind::EpDegradedRun { .. } => gpu[b] = 'D',
             // A graph node on a peer endpoint occupies that device's
             // compute; the gpu lane shows the sole-device run.
@@ -653,52 +591,11 @@ mod tests {
             TraceKind::GpuWaveAborted { from: 84, to: 120 },
             TraceKind::GpuExit,
             TraceKind::MergeDone,
-            TraceKind::CpuSubkernelStart {
-                from: 200,
-                to: 256,
-                version: 1,
-            },
-            TraceKind::CpuSubkernelDone { from: 200, to: 256 },
-            TraceKind::HdEnqueued {
-                boundary: 200,
-                bytes: 4096,
-                dirty_bytes: None,
-            },
-            TraceKind::HdEnqueued {
-                boundary: 200,
-                bytes: 4096 + STATUS_MSG_BYTES,
-                dirty_bytes: Some(4096),
-            },
-            TraceKind::CoalescedSend {
-                boundary: 150,
-                bytes: 8192,
-                dirty_bytes: None,
-                subkernels: 2,
-            },
-            TraceKind::CoalescedSend {
-                boundary: 150,
-                bytes: 8192 + STATUS_MSG_BYTES,
-                dirty_bytes: Some(8192),
-                subkernels: 3,
-            },
-            TraceKind::StatusArrived { boundary: 200 },
             TraceKind::KernelComplete {
                 finisher: Finisher::Gpu,
             },
-            TraceKind::TransferFault {
-                boundary: 200,
-                attempt: 1,
-            },
-            TraceKind::TransferRejected { boundary: 200 },
-            TraceKind::TransferTimeout { boundary: 200 },
-            TraceKind::DeviceLost {
-                device: DeviceKind::Gpu,
-            },
-            TraceKind::DegradedRun {
-                device: DeviceKind::Cpu,
-                from: 0,
-                to: 120,
-            },
+            TraceKind::DeviceLost,
+            TraceKind::DegradedRun { from: 0, to: 120 },
             TraceKind::EpSubkernelStart {
                 dev: 1,
                 from: 100,
@@ -831,13 +728,13 @@ mod tests {
             "[ep1] data+status enqueued (2 subkernels, boundary 8, 144 B, dirty 128 B)"
         );
         let status = TraceKind::EpStatus {
-            dev: 0,
+            dev: 1,
             boundary: 8,
             watermark: 8,
         };
         assert_eq!(
             status.to_string(),
-            "[ep0] status arrived (boundary 8): watermark -> 8"
+            "[ep1] status arrived (boundary 8): watermark -> 8"
         );
         let events = vec![
             ev(
@@ -867,22 +764,113 @@ mod tests {
     }
 
     #[test]
-    fn hd_enqueued_renders_identically_without_dirty_accounting() {
+    fn cpu_endpoint_renders_the_two_device_protocol_text() {
+        // Endpoint 0 is the paper's CPU: its lines read exactly as the
+        // two-device protocol always printed them, so serial traces stay
+        // byte-identical to the goldens.
+        let cases = [
+            (
+                TraceKind::EpSubkernelStart {
+                    dev: 0,
+                    from: 200,
+                    to: 256,
+                    version: 1,
+                },
+                "[cpu] subkernel 200..256 start (version 1)",
+            ),
+            (
+                TraceKind::EpSubkernelDone {
+                    dev: 0,
+                    from: 200,
+                    to: 256,
+                },
+                "[cpu] subkernel 200..256 done",
+            ),
+            (
+                TraceKind::EpStatus {
+                    dev: 0,
+                    boundary: 200,
+                    watermark: 200,
+                },
+                "[hd ] status arrived: watermark -> 200",
+            ),
+            (
+                TraceKind::EpStatus {
+                    dev: 0,
+                    boundary: 200,
+                    watermark: 150,
+                },
+                "[hd ] status arrived (boundary 200): watermark -> 150",
+            ),
+            (
+                TraceKind::EpTransferFault {
+                    dev: 0,
+                    boundary: 200,
+                    attempt: 1,
+                },
+                "[flt] transfer for boundary 200 failed (attempt 1), retrying",
+            ),
+            (
+                TraceKind::EpTransferRejected {
+                    dev: 0,
+                    boundary: 200,
+                },
+                "[flt] transfer for boundary 200 failed checksum, resending",
+            ),
+            (
+                TraceKind::EpTransferTimeout {
+                    dev: 0,
+                    boundary: 200,
+                },
+                "[flt] transfer for boundary 200 missed its deadline, link abandoned",
+            ),
+            (
+                TraceKind::NonOwnerLost { dev: 0 },
+                "[flt] cpu lost (watchdog deadline missed)",
+            ),
+            (
+                TraceKind::EpDegradedRun {
+                    dev: 0,
+                    from: 0,
+                    to: 120,
+                },
+                "[deg] cpu finishing 0..120 alone",
+            ),
+            (
+                TraceKind::DeviceLost,
+                "[flt] gpu lost (watchdog deadline missed)",
+            ),
+            (
+                TraceKind::DegradedRun { from: 0, to: 120 },
+                "[deg] gpu finishing 0..120 alone",
+            ),
+        ];
+        for (kind, text) in cases {
+            assert_eq!(kind.to_string(), text);
+        }
+    }
+
+    #[test]
+    fn cpu_send_renders_identically_without_dirty_accounting() {
         // The gate-off line must stay byte-identical to the historical
         // whole-buffer protocol rendering.
-        let off = TraceKind::HdEnqueued {
+        let off = TraceKind::EpSend {
+            dev: 0,
             boundary: 3,
             bytes: 80,
             dirty_bytes: None,
+            subkernels: 1,
         };
         assert_eq!(
             off.to_string(),
             "[hd ] data+status enqueued (boundary 3, 80 B)"
         );
-        let on = TraceKind::HdEnqueued {
+        let on = TraceKind::EpSend {
+            dev: 0,
             boundary: 3,
             bytes: 48 + STATUS_MSG_BYTES,
             dirty_bytes: Some(48),
+            subkernels: 1,
         };
         assert_eq!(
             on.to_string(),
@@ -911,7 +899,8 @@ mod tests {
 
     #[test]
     fn coalesced_send_renders_batch_size_and_boundary() {
-        let k = TraceKind::CoalescedSend {
+        let k = TraceKind::EpSend {
+            dev: 0,
             boundary: 8,
             bytes: 128 + STATUS_MSG_BYTES,
             dirty_bytes: Some(128),
@@ -942,23 +931,40 @@ mod tests {
         let events = vec![
             ev(
                 0,
-                TraceKind::CpuSubkernelStart {
+                TraceKind::EpSubkernelStart {
+                    dev: 0,
                     from: 8,
                     to: 16,
                     version: 0,
                 },
             ),
-            ev(100, TraceKind::CpuSubkernelDone { from: 8, to: 16 }),
+            ev(
+                100,
+                TraceKind::EpSubkernelDone {
+                    dev: 0,
+                    from: 8,
+                    to: 16,
+                },
+            ),
             ev(
                 120,
-                TraceKind::HdEnqueued {
+                TraceKind::EpSend {
+                    dev: 0,
                     boundary: 8,
                     bytes: 64,
                     dirty_bytes: None,
+                    subkernels: 1,
                 },
             ),
             ev(200, TraceKind::GpuLaunch),
-            ev(300, TraceKind::StatusArrived { boundary: 8 }),
+            ev(
+                300,
+                TraceKind::EpStatus {
+                    dev: 0,
+                    boundary: 8,
+                    watermark: 8,
+                },
+            ),
             ev(400, TraceKind::GpuExit),
             ev(
                 500,
@@ -984,21 +990,17 @@ mod tests {
         let events = vec![
             ev(
                 0,
-                TraceKind::TransferFault {
+                TraceKind::EpTransferFault {
+                    dev: 0,
                     boundary: 8,
                     attempt: 1,
                 },
             ),
-            ev(
-                100,
-                TraceKind::DeviceLost {
-                    device: DeviceKind::Gpu,
-                },
-            ),
+            ev(100, TraceKind::DeviceLost),
             ev(
                 200,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Cpu,
+                TraceKind::EpDegradedRun {
+                    dev: 0,
                     from: 0,
                     to: 16,
                 },

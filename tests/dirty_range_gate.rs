@@ -75,16 +75,12 @@ fn dirty_range_transfers_are_the_default() {
     let mut saw_transfer = false;
     for report in rt.reports() {
         for ev in &report.trace {
-            match &ev.kind {
-                TraceKind::HdEnqueued { dirty_bytes, .. }
-                | TraceKind::CoalescedSend { dirty_bytes, .. } => {
-                    saw_transfer = true;
-                    assert!(
-                        dirty_bytes.is_some(),
-                        "default-config transfers carry dirty accounting"
-                    );
-                }
-                _ => {}
+            if let TraceKind::EpSend { dirty_bytes, .. } = &ev.kind {
+                saw_transfer = true;
+                assert!(
+                    dirty_bytes.is_some(),
+                    "default-config transfers carry dirty accounting"
+                );
             }
         }
     }
@@ -97,17 +93,22 @@ fn whole_buffer_compat_traces_use_the_legacy_format() {
         let rt = run(b.name, false);
         for report in rt.reports() {
             for ev in &report.trace {
-                match &ev.kind {
-                    TraceKind::HdEnqueued { dirty_bytes, .. } => assert_eq!(
+                if let TraceKind::EpSend {
+                    dirty_bytes,
+                    subkernels,
+                    ..
+                } = &ev.kind
+                {
+                    assert_eq!(
                         *dirty_bytes, None,
                         "{}: compat transfers carry no dirty accounting",
                         b.name
-                    ),
-                    TraceKind::CoalescedSend { .. } => panic!(
+                    );
+                    assert_eq!(
+                        *subkernels, 1,
                         "{}: the serial compat protocol never coalesces sends",
                         b.name
-                    ),
-                    _ => {}
+                    );
                 }
             }
             let rendered = render_timeline(&report.kernel, &report.trace);
@@ -144,7 +145,7 @@ fn default_matches_compat_bit_for_bit_and_lints_clean() {
                 b.name
             );
             for ev in &report.trace {
-                if let TraceKind::HdEnqueued {
+                if let TraceKind::EpSend {
                     bytes, dirty_bytes, ..
                 } = &ev.kind
                 {

@@ -42,10 +42,7 @@ fn run(name: &str, config: FluidiclConfig) -> Fluidicl {
 fn is_fault_event(kind: &TraceKind) -> bool {
     matches!(
         kind,
-        TraceKind::TransferFault { .. }
-            | TraceKind::TransferRejected { .. }
-            | TraceKind::TransferTimeout { .. }
-            | TraceKind::DeviceLost { .. }
+        TraceKind::DeviceLost
             | TraceKind::DegradedRun { .. }
             | TraceKind::EpTransferFault { .. }
             | TraceKind::EpTransferRejected { .. }
