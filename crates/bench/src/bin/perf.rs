@@ -38,10 +38,10 @@ use fluidicl_bench::experiments::{experiments, find, Experiment};
 use fluidicl_des::SplitMix64;
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::data::gen_matrix;
-use fluidicl_polybench::syrk;
+use fluidicl_polybench::{outputs_match, syrk, BenchmarkSpec};
 use fluidicl_vcl::{
     diff_merge, diff_merge_ranged, diff_merge_tracked, execute_groups_par, set_simd_enabled,
-    simd_active, BufferId, DirtyRanges, DirtyTracker, KernelArg, Launch, Memory, NdRange,
+    simd_active, BufferId, ClDriver, DirtyRanges, DirtyTracker, KernelArg, Launch, Memory, NdRange,
 };
 
 /// Experiment ids of the `--quick` sweep (mirrors `repro --quick`).
@@ -180,19 +180,14 @@ fn dirty_gate_sections() -> (Vec<Section>, f64) {
     let b = fluidicl_polybench::find("SYRK").expect("SYRK registered");
     let n = 128;
     let machine = MachineConfig::paper_testbed();
+    b.reference_outputs(n, RUN_SEED);
     let run_once = |dirty: bool| {
         let mut rt = Fluidicl::new(
             machine.clone(),
             FluidiclConfig::default().with_dirty_range_transfers(dirty),
             (b.program)(n),
         );
-        let started = Instant::now();
-        let ok = b
-            .run_and_validate_sized(&mut rt, n, 0xF1D1C1)
-            .expect("SYRK co-execution");
-        let ns = started.elapsed().as_nanos();
-        assert!(ok, "SYRK diverged from reference (dirty={dirty})");
-        ns
+        time_run(&b, &mut rt, n, &format!("SYRK (dirty={dirty})"))
     };
     let iters = 7;
     let off = collect(iters, || run_once(false));
@@ -211,19 +206,14 @@ fn pipeline_sections() -> Vec<Section> {
     let b = fluidicl_polybench::find("SYRK").expect("SYRK registered");
     let n = 128;
     let machine = MachineConfig::paper_testbed();
+    b.reference_outputs(n, RUN_SEED);
     let run_once = |depth: u32| {
         let mut rt = Fluidicl::new(
             machine.clone(),
             FluidiclConfig::default().with_pipeline_depth(depth),
             (b.program)(n),
         );
-        let started = Instant::now();
-        let ok = b
-            .run_and_validate_sized(&mut rt, n, 0xF1D1C1)
-            .expect("SYRK co-execution");
-        let ns = started.elapsed().as_nanos();
-        assert!(ok, "SYRK diverged from reference (depth={depth})");
-        ns
+        time_run(&b, &mut rt, n, &format!("SYRK (depth={depth})"))
     };
     let iters = 7;
     [1u32, 2, 4]
@@ -251,15 +241,10 @@ fn pipeline_sections() -> Vec<Section> {
 fn ndev_sections() -> Vec<Section> {
     let b = fluidicl_polybench::find("SYRK").expect("SYRK registered");
     let n = 128;
+    b.reference_outputs(n, RUN_SEED);
     let run_once = |machine: &MachineConfig| {
         let mut rt = Fluidicl::new(machine.clone(), FluidiclConfig::default(), (b.program)(n));
-        let started = Instant::now();
-        let ok = b
-            .run_and_validate_sized(&mut rt, n, 0xF1D1C1)
-            .expect("SYRK co-execution");
-        let ns = started.elapsed().as_nanos();
-        assert!(ok, "SYRK diverged from reference");
-        ns
+        time_run(&b, &mut rt, n, "SYRK")
     };
     let iters = 7;
     let two = MachineConfig::paper_testbed();
@@ -282,19 +267,14 @@ fn graph_sched_sections() -> Vec<Section> {
     let b = fluidicl_polybench::pipeline_benchmark();
     let n = 96;
     let three = MachineConfig::paper_testbed_3dev();
+    b.reference_outputs(n, RUN_SEED);
     let run_once = |graph: bool| {
         let mut rt = Fluidicl::new(
             three.clone(),
             FluidiclConfig::default().with_graph_scheduling(graph),
             (b.program)(n),
         );
-        let started = Instant::now();
-        let ok = b
-            .run_and_validate_sized(&mut rt, n, 0xF1D1C1)
-            .expect("BATCHMM run");
-        let ns = started.elapsed().as_nanos();
-        assert!(ok, "BATCHMM diverged from reference (graph={graph})");
-        ns
+        time_run(&b, &mut rt, n, &format!("BATCHMM (graph={graph})"))
     };
     let iters = 7;
     let off = collect(iters, || run_once(false));
@@ -303,6 +283,23 @@ fn graph_sched_sections() -> Vec<Section> {
         stats("graph_sched_off", iters, off),
         stats("graph_sched_on", iters, on),
     ]
+}
+
+/// Seed of the co-execution sections' host programs.
+const RUN_SEED: u64 = 0xF1D1C1;
+
+/// Times one run of `b`'s host program on `rt`, then, with the timer
+/// stopped, checks its outputs against the memoized reference. Sections
+/// warm the memo before their first iteration.
+fn time_run(b: &BenchmarkSpec, rt: &mut dyn ClDriver, n: usize, what: &str) -> u128 {
+    let started = Instant::now();
+    let got = (b.run)(rt, n, RUN_SEED).unwrap_or_else(|e| panic!("{what} run failed: {e}"));
+    let ns = started.elapsed().as_nanos();
+    assert!(
+        outputs_match(&got, &b.reference_outputs(n, RUN_SEED)),
+        "{what} diverged from reference"
+    );
+    ns
 }
 
 /// Resolves `rel` against the repository root (two levels above this

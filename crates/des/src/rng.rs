@@ -23,6 +23,21 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The Weyl-sequence increment: the state after `k` draws is `seed + k·γ`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: a bijective finalizer of the state.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The 24-bit unit float `next_f32` makes from a raw draw.
+fn unit_f32(raw: u64) -> f32 {
+    (raw >> 40) as f32 / (1u32 << 24) as f32
+}
+
 impl SplitMix64 {
     /// Creates a generator from a seed. Equal seeds yield equal streams.
     pub fn new(seed: u64) -> Self {
@@ -31,11 +46,8 @@ impl SplitMix64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// Uniform `f64` in `[0, 1)` (53 random bits).
@@ -45,7 +57,7 @@ impl SplitMix64 {
 
     /// Uniform `f32` in `[0, 1)` (24 random bits).
     pub fn next_f32(&mut self) -> f32 {
-        (self.next_u64() >> 40) as f32 / (1u32 << 24) as f32
+        unit_f32(self.next_u64())
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -66,6 +78,29 @@ impl SplitMix64 {
     pub fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
         assert!(lo < hi, "empty range {lo}..{hi}");
         lo + (hi - lo) * self.next_f32()
+    }
+
+    /// Fills `out` with uniform `f32`s in `[lo, hi)`, bit-identical to
+    /// calling [`range_f32`](Self::range_f32) `out.len()` times, and leaves
+    /// the generator where those calls would.
+    ///
+    /// Element `i` is `mix(state + (i+1)·γ)`: the only value carried from
+    /// one element to the next is the counter, a plain add, so the
+    /// compiler can unroll and interleave the mixing. The range is checked
+    /// once per call, not once per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo >= hi`, even when `out` is empty.
+    pub fn fill_range_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
+        assert!(lo < hi, "empty range {lo}..{hi}");
+        let span = hi - lo;
+        let mut counter = self.state;
+        for v in out.iter_mut() {
+            counter = counter.wrapping_add(GAMMA);
+            *v = lo + span * unit_f32(mix(counter));
+        }
+        self.state = counter;
     }
 
     /// Uniform `u64` in `[lo, hi)`.
@@ -143,6 +178,31 @@ mod tests {
             let v = r.range_usize(0, 2);
             assert!(v < 2);
         }
+    }
+
+    #[test]
+    fn fill_matches_repeated_range_draws() {
+        for seed in [0, 42, u64::MAX] {
+            for len in [0, 1, 2, 3, 7, 1000] {
+                let (mut a, mut b) = (SplitMix64::new(seed), SplitMix64::new(seed));
+                let want: Vec<u32> = (0..len).map(|_| a.range_f32(-1.0, 1.0).to_bits()).collect();
+                let mut got = vec![0.0f32; len];
+                b.fill_range_f32(&mut got, -1.0, 1.0);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "seed {seed} len {len}");
+                assert_eq!(
+                    b.next_u64(),
+                    a.next_u64(),
+                    "state after seed {seed} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn fill_rejects_an_empty_range() {
+        SplitMix64::new(1).fill_range_f32(&mut [], 1.0, 1.0);
     }
 
     #[test]

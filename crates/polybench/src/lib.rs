@@ -31,5 +31,5 @@ pub mod syrk;
 
 pub use spec::{
     all_benchmarks, benchmarks, extended_benchmarks, find, outputs_match, pipeline_benchmark,
-    BenchmarkSpec, RunFn,
+    reference_cache_stats, BenchmarkSpec, RunFn,
 };

@@ -1,4 +1,18 @@
 //! Benchmark registry: one uniform handle per Polybench application.
+//!
+//! Every run is validated against its sequential reference through a
+//! process-wide memo ([`BenchmarkSpec::reference_outputs`]): a sweep runs
+//! the same (app, n, seed) on many runtimes, and the reference is computed
+//! once per key instead of once per run. The memo is keyed on the
+//! `reference` function pointer, not the display name, because
+//! `BenchmarkSpec`'s fields are public: equal pointers mean the same pure
+//! function, so a hand-built spec can never be served another's outputs.
+//! It holds outputs only. Default-size outputs total under 5 MiB, while
+//! caching the inputs would pin the 4096² matrices (64 MiB each).
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fluidicl_vcl::{ClDriver, ClResult, Program};
 
@@ -70,9 +84,52 @@ impl BenchmarkSpec {
         seed: u64,
     ) -> ClResult<bool> {
         let got = (self.run)(driver, n, seed)?;
-        let want = (self.reference)(n, seed);
-        Ok(outputs_match(&got, &want))
+        Ok(outputs_match(&got, &self.reference_outputs(n, seed)))
     }
+
+    /// The sequential reference's outputs at size `n` for `seed`, computed
+    /// at most once per process per (`reference` fn, n, seed).
+    ///
+    /// Concurrent callers asking for the same key wait for the one
+    /// computing it; different keys compute in parallel, since the map lock
+    /// is held only to fetch the key's slot. A reference that panics leaves
+    /// its slot empty, so the next caller computes it again.
+    pub fn reference_outputs(&self, n: usize, seed: u64) -> Arc<Vec<Vec<f32>>> {
+        static MEMO: OnceLock<Mutex<HashMap<MemoKey, MemoSlot>>> = OnceLock::new();
+        let key = (self.reference as usize, n, seed);
+        let slot = Arc::clone(
+            MEMO.get_or_init(Mutex::default)
+                .lock()
+                .expect("reference memo lock poisoned: a thread panicked while fetching a slot")
+                .entry(key)
+                .or_default(),
+        );
+        let mut computed = false;
+        let outputs = slot.get_or_init(|| {
+            computed = true;
+            Arc::new((self.reference)(n, seed))
+        });
+        let counter = if computed { &COMPUTED } else { &SERVED };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(outputs)
+    }
+}
+
+/// (`reference` fn address, n, seed).
+type MemoKey = (usize, usize, u64);
+/// One key's outputs, filled by the first caller.
+type MemoSlot = Arc<OnceLock<Arc<Vec<Vec<f32>>>>>;
+
+static COMPUTED: AtomicU64 = AtomicU64::new(0);
+static SERVED: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide counts of [`BenchmarkSpec::reference_outputs`] calls: those
+/// that computed the reference, and those served an already-computed one.
+pub fn reference_cache_stats() -> (u64, u64) {
+    (
+        COMPUTED.load(Ordering::Relaxed),
+        SERVED.load(Ordering::Relaxed),
+    )
 }
 
 /// Bit-exact comparison of output buffer sets (every device executes the
@@ -240,6 +297,65 @@ mod tests {
             );
             assert_eq!((b.program)(b.default_n).len(), b.kernel_count);
         }
+    }
+
+    #[test]
+    fn memo_serves_the_reference_bit_for_bit() {
+        let mut specs = all_benchmarks();
+        specs.push(pipeline_benchmark());
+        for b in specs {
+            for seed in [3, 0xF1D1C1] {
+                let n = 16;
+                let memo = b.reference_outputs(n, seed);
+                assert!(
+                    outputs_match(&memo, &(b.reference)(n, seed)),
+                    "{} seed {seed}",
+                    b.name
+                );
+                assert!(Arc::ptr_eq(&memo, &b.reference_outputs(n, seed)));
+                assert!(!Arc::ptr_eq(&memo, &b.reference_outputs(n, seed + 1)));
+                assert!(!Arc::ptr_eq(&memo, &b.reference_outputs(n + 8, seed)));
+            }
+        }
+    }
+
+    static COUNTED_CALLS: AtomicU64 = AtomicU64::new(0);
+
+    /// A reference used by one test only, so its memo key is fresh.
+    fn counted_reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
+        COUNTED_CALLS.fetch_add(1, Ordering::Relaxed);
+        crate::syrk::reference(n, seed)
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_key_compute_once() {
+        let spec = BenchmarkSpec {
+            reference: counted_reference,
+            ..find("SYRK").expect("SYRK registered")
+        };
+        let (computed, served) = reference_cache_stats();
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        spec.reference_outputs(64, 9)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("memo thread"))
+                .collect()
+        });
+        assert_eq!(COUNTED_CALLS.load(Ordering::Relaxed), 1);
+        assert!(got.iter().all(|g| Arc::ptr_eq(g, &got[0])));
+        // Other tests share the process-wide counters, so only lower
+        // bounds on their growth hold.
+        let (computed2, served2) = reference_cache_stats();
+        assert!(computed2 > computed);
+        assert!(served2 >= served + 3);
     }
 
     #[test]
