@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use fluidicl_check::{sanitize_launch, LintSeverity};
+use fluidicl_check::{sanitize_launch, LintSeverity, SENTINEL_A};
 use fluidicl_hetsim::KernelProfile;
 use fluidicl_vcl::{ArgRole, ArgSpec, BufferId, KernelArg, KernelDef, Launch, Memory, NdRange};
 
@@ -136,6 +136,41 @@ fn identical_duplicate_writes_are_benign() {
         vec![KernelArg::Buffer(BufferId(0))],
     );
     assert_eq!(rules(&launch, &mem), vec![]);
+}
+
+#[test]
+fn collision_masked_by_the_first_sentinel_is_still_an_error() {
+    // Groups 0 and 1 both write element 0, but group 0 writes exactly
+    // `SENTINEL_A`. In the `SENTINEL_A` run that write is invisible to the
+    // shadow diff, so the conflict hides from the write maps there; in the
+    // `SENTINEL_B` run it is visible, and the two runs' write maps differ.
+    let k = Arc::new(KernelDef::new(
+        "masked",
+        vec![ArgSpec::new("dst", ArgRole::Out)],
+        KernelProfile::new("masked"),
+        |item, _, _, outs| {
+            let i = item.global_linear();
+            match i {
+                0 => outs.at(0)[0] = SENTINEL_A,
+                4 => {
+                    outs.at(0)[0] = 7.0;
+                    outs.at(0)[4] = 4.0;
+                }
+                _ => outs.at(0)[i] = i as f32,
+            }
+        },
+    ));
+    let mem = mem_with(8, &[(0, 0.0)]);
+    let launch = Launch::new(
+        k,
+        NdRange::d1(8, 4).unwrap(),
+        vec![KernelArg::Buffer(BufferId(0))],
+    );
+    let r = rules(&launch, &mem);
+    assert!(
+        r.iter().any(|(_, sev)| *sev == LintSeverity::Error),
+        "a cross-group collision must not pass: {r:?}"
+    );
 }
 
 #[test]

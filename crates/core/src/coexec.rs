@@ -40,7 +40,7 @@
 
 use fluidicl_des::{ChannelBank, SimDuration, SimTime, Simulation};
 use fluidicl_hetsim::{GpuModel, LinkModel, MachineConfig, PeerGpu};
-use fluidicl_vcl::exec::{execute_groups_par, Launch};
+use fluidicl_vcl::exec::{execute_groups, Launch};
 use fluidicl_vcl::{
     diff_merge_tracked, payload_checksum, BufferId, ClError, ClResult, DeviceKind, DirtyTracker,
     FaultInjector, Memory, TransferFate,
@@ -887,7 +887,6 @@ impl<'a> Coexec<'a> {
         };
         if exec_end > wave.start {
             let launch = self.input.launch;
-            let jobs = self.input.config.intra_launch_jobs;
             // Waves execute in the acting owner's address space: the
             // primary GPU's, or a promoted peer's own memory.
             let mem: &mut Memory = match self.owner_ep {
@@ -897,7 +896,7 @@ impl<'a> Coexec<'a> {
                     .expect("promoted owner is a peer with its own memory"),
                 None => self.input.gpu_mem,
             };
-            execute_groups_par(launch, mem, wave.start, exec_end, jobs)?;
+            execute_groups(launch, mem, wave.start, exec_end)?;
             self.gpu_wgs_executed += exec_end - wave.start;
         }
         self.record(
@@ -1231,7 +1230,6 @@ impl<'a> Coexec<'a> {
                 sk.trial,
             )
         };
-        let jobs = self.input.config.intra_launch_jobs;
         {
             let ep = &mut self.eps[d];
             ep.busy = false;
@@ -1243,7 +1241,7 @@ impl<'a> Coexec<'a> {
                 Some(m) => m,
                 None => self.input.cpu_mem,
             };
-            execute_groups_par(&ep.launch, mem, from, to, jobs)?;
+            execute_groups(&ep.launch, mem, from, to)?;
         }
         // Dirty-range capture: diff the endpoint's copy against the
         // pristine original to learn exactly which elements this subkernel

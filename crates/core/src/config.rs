@@ -110,13 +110,6 @@ pub struct FluidiclConfig {
     /// subkernels waiting on a busy link are coalesced into one
     /// data+status batch. Default 2.
     pub pipeline_depth: u32,
-    /// Thread budget for executing one device's work-group range (an
-    /// implementation-level speedup of the *functional* executor, not part
-    /// of the paper's protocol — virtual timings are unaffected). Values
-    /// above 1 split a range across threads only for kernels that declare
-    /// disjoint per-group writes; results stay byte-identical. Default 1
-    /// (sequential).
-    pub intra_launch_jobs: usize,
     /// Seeded fault-injection plan. `None` (the default) means no faults
     /// *and* no recovery machinery on the event timeline — traces and
     /// timings stay byte-identical to a build without the fault subsystem.
@@ -138,7 +131,9 @@ pub struct FluidiclConfig {
     /// programs and the gate-off path stay byte-identical to the serial
     /// enqueue protocol. When on, launches accumulate until a buffer read
     /// (or an explicit [`Fluidicl::flush_graph`](crate::Fluidicl::flush_graph))
-    /// forces the graph to execute.
+    /// forces the graph to execute. Graph scheduling cannot be combined
+    /// with a fault plan ([`faults`](Self::faults)): `enqueue_kernel`
+    /// rejects the pair with [`ClError::InvalidConfig`](fluidicl_vcl::ClError::InvalidConfig).
     pub graph_scheduling: bool,
 }
 
@@ -156,7 +151,6 @@ impl Default for FluidiclConfig {
             validate_protocol: cfg!(debug_assertions),
             dirty_range_transfers: true,
             pipeline_depth: 2,
-            intra_launch_jobs: 1,
             faults: None,
             recovery: RecoveryPolicy::default(),
             report_hook: None,
@@ -267,14 +261,6 @@ impl FluidiclConfig {
         self
     }
 
-    /// Returns a copy with a different intra-launch thread budget (values
-    /// below 1 are clamped to 1).
-    #[must_use]
-    pub fn with_intra_launch_jobs(mut self, jobs: usize) -> Self {
-        self.intra_launch_jobs = jobs.max(1);
-        self
-    }
-
     /// Returns a copy with a seeded fault-injection plan (or `None` to
     /// disable injection).
     #[must_use]
@@ -327,7 +313,6 @@ mod tests {
             "dirty-range transfers are the default; whole-buffer is the compat path"
         );
         assert_eq!(cfg.pipeline_depth, 2, "one subkernel overlaps its ship");
-        assert_eq!(cfg.intra_launch_jobs, 1, "parallel execution is opt-in");
         assert_eq!(cfg.faults, None, "fault injection is opt-in");
         assert_eq!(cfg.recovery, RecoveryPolicy::default());
         assert!(cfg.report_hook.is_none(), "debug hook is opt-in");
@@ -363,8 +348,7 @@ mod tests {
             .with_location_tracking(false)
             .with_validate_protocol(true)
             .with_whole_buffer_transfers()
-            .with_pipeline_depth(0)
-            .with_intra_launch_jobs(0);
+            .with_pipeline_depth(0);
         assert_eq!(cfg.initial_chunk_pct, 10.0);
         assert_eq!(cfg.step_pct, 0.0);
         assert_eq!(cfg.abort_mode, AbortMode::WorkGroupStart);
@@ -375,7 +359,6 @@ mod tests {
         assert!(cfg.validate_protocol);
         assert!(!cfg.dirty_range_transfers, "compat flag turns dirty off");
         assert_eq!(cfg.pipeline_depth, 1, "zero is clamped to serial");
-        assert_eq!(cfg.intra_launch_jobs, 1, "zero is clamped to sequential");
         let cfg = cfg.with_dirty_range_transfers(true).with_pipeline_depth(4);
         assert!(cfg.dirty_range_transfers);
         assert_eq!(cfg.pipeline_depth, 4);

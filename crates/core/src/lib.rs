@@ -56,6 +56,6 @@ pub use heft::{HeftEdge, HeftPlan, WeightTable};
 pub use lint::{lint_report, lint_trace, LintDiagnostic, LintSeverity};
 pub use recover::RecoveryPolicy;
 pub use roster::DeviceRoster;
-pub use runtime::{parse_disjoint_manifest, Fluidicl};
+pub use runtime::Fluidicl;
 pub use stats::{Finisher, KernelReport, LaunchMeta, RuntimeSummary};
 pub use trace::{render_lanes, render_timeline, TraceEvent, TraceKind, STATUS_MSG_BYTES};

@@ -201,25 +201,6 @@ impl Fluidicl {
         &self.roster
     }
 
-    /// Promotes every kernel named in `proven` to declared-disjoint writes
-    /// (see [`Program::promote_disjoint`]) and, if at least one promotion
-    /// applied, raises the intra-launch thread budget to `jobs`. Returns
-    /// the number of kernels promoted. This is how a disjoint-writes proof
-    /// manifest emitted by `fluidicl-check --emit-disjoint` turns into
-    /// enabled parallelism at run time.
-    pub fn apply_disjoint_proofs(&mut self, proven: &[String], jobs: usize) -> usize {
-        let mut promoted = 0;
-        for name in proven {
-            if self.program.promote_disjoint(name) {
-                promoted += 1;
-            }
-        }
-        if promoted > 0 {
-            self.config.intra_launch_jobs = jobs.max(1);
-        }
-        promoted
-    }
-
     fn scratch_setup_cost(&mut self, out_ids: &[BufferId]) -> SimDuration {
         let mut cost = SimDuration::ZERO;
         for id in out_ids {
@@ -329,15 +310,7 @@ impl Fluidicl {
             DeviceKind::Cpu => &mut self.cpu_mem,
             DeviceKind::Gpu => &mut self.gpu_mem,
         };
-        let exec = execute_groups_injected(
-            launch,
-            mem,
-            0,
-            total,
-            self.config.intra_launch_jobs,
-            self.injector.as_ref(),
-            survivor,
-        );
+        let exec = execute_groups_injected(launch, mem, 0, total, self.injector.as_ref(), survivor);
         if let Err(e) = exec {
             if matches!(e, ClError::DeviceLost { .. }) {
                 self.fatal = Some(e.clone());
@@ -478,15 +451,7 @@ impl Fluidicl {
             .peer
             .gpu
             .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(
-            launch,
-            &mut self.cpu_mem,
-            0,
-            total,
-            self.config.intra_launch_jobs,
-            None,
-            DeviceKind::Gpu,
-        )?;
+        execute_groups_injected(launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
         let complete_at = start + duration;
         let trace = vec![
             TraceEvent {
@@ -900,15 +865,7 @@ impl Fluidicl {
             .peer
             .gpu
             .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(
-            &launch,
-            &mut self.cpu_mem,
-            0,
-            total,
-            self.config.intra_launch_jobs,
-            None,
-            DeviceKind::Gpu,
-        )?;
+        execute_groups_injected(&launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
         // Mirror the results into the owner-GPU address space so later
         // owner-lane nodes read coherent data.
         for id in &out_ids {
@@ -982,43 +939,6 @@ impl Fluidicl {
     }
 }
 
-/// Parses a disjoint-writes proof manifest (the JSON emitted by
-/// `fluidicl-check --emit-disjoint`, of the form
-/// `{"proven": ["kernel_a", "kernel_b"]}`) and returns the proven kernel
-/// names. The parser is deliberately tolerant — whitespace, trailing
-/// commas and unknown sibling keys are all accepted; a missing or
-/// malformed `proven` array yields an empty list rather than an error, so
-/// a stale or hand-edited manifest can never break a run.
-///
-/// # Examples
-///
-/// ```
-/// use fluidicl::parse_disjoint_manifest;
-///
-/// let names = parse_disjoint_manifest(r#"{ "proven": ["atax_1", "gemm"] }"#);
-/// assert_eq!(names, vec!["atax_1".to_string(), "gemm".to_string()]);
-/// assert!(parse_disjoint_manifest("not json").is_empty());
-/// ```
-pub fn parse_disjoint_manifest(text: &str) -> Vec<String> {
-    let Some(key) = text.find("\"proven\"") else {
-        return Vec::new();
-    };
-    let after_key = &text[key + "\"proven\"".len()..];
-    let Some(open) = after_key.find('[') else {
-        return Vec::new();
-    };
-    let body = &after_key[open + 1..];
-    let Some(close) = body.find(']') else {
-        return Vec::new();
-    };
-    body[..close]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(str::to_string)
-        .collect()
-}
-
 impl ClDriver for Fluidicl {
     fn create_buffer(&mut self, len: usize) -> BufferId {
         // clCreateBuffer allocates on both devices (paper §4.1); the GPU
@@ -1064,15 +984,21 @@ impl ClDriver for Fluidicl {
         ndrange: NdRange,
         args: &[KernelArg],
     ) -> ClResult<()> {
+        // The watchdog/failover protocol is defined over immediate
+        // execution order, so a fault plan cannot drive a deferred graph.
+        if self.config.graph_scheduling && self.injector.is_some() {
+            return Err(ClError::InvalidConfig(
+                "graph scheduling cannot run under a fault plan".to_string(),
+            ));
+        }
         if let Some(fatal) = &self.fatal {
             // Both devices are gone; nothing can execute. The original
             // failure is replayed so the application sees a stable error.
             return Err(fatal.clone());
         }
         // Kernel-graph scheduling: defer into the DAG instead of executing
-        // now. Fault plans keep the eager path — the watchdog/failover
-        // protocol is defined over immediate execution order.
-        if self.config.graph_scheduling && self.injector.is_none() {
+        // now.
+        if self.config.graph_scheduling {
             return self.graph_defer(kernel, ndrange, args);
         }
         let def = self.program.kernel(kernel)?;
@@ -1586,63 +1512,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_launch_parallelism_is_byte_identical() {
-        let run = |jobs: usize| {
-            let mut program = Program::new();
-            program.register(
-                KernelDef::new(
-                    "scale",
-                    vec![
-                        ArgSpec::new("src", ArgRole::In),
-                        ArgSpec::new("dst", ArgRole::Out),
-                        ArgSpec::new("f", ArgRole::Scalar),
-                    ],
-                    KernelProfile::new("scale")
-                        .flops_per_item(4.0)
-                        .bytes_read_per_item(4.0)
-                        .bytes_written_per_item(4.0),
-                    |item, scalars, ins, outs| {
-                        let i = item.global_linear();
-                        // sin/exp give bit patterns that would expose any
-                        // reordering or double-execution.
-                        outs.at(0)[i] = (scalars.f32(0) * ins.get(0)[i]).sin().exp();
-                    },
-                )
-                .with_disjoint_writes(),
-            );
-            let mut rt = Fluidicl::new(
-                MachineConfig::paper_testbed(),
-                FluidiclConfig::default().with_intra_launch_jobs(jobs),
-                program,
-            );
-            let n = 4096;
-            let src = rt.create_buffer(n);
-            let dst = rt.create_buffer(n);
-            let input: Vec<f32> = (0..n).map(|i| (i as f32).cos()).collect();
-            rt.write_buffer(src, &input).unwrap();
-            rt.enqueue_kernel(
-                "scale",
-                NdRange::d1(n, 64).unwrap(),
-                &[
-                    KernelArg::Buffer(src),
-                    KernelArg::Buffer(dst),
-                    KernelArg::F32(1.7),
-                ],
-            )
-            .unwrap();
-            (rt.read_buffer(dst).unwrap(), rt.elapsed())
-        };
-        let (seq, t_seq) = run(1);
-        let (par, t_par) = run(4);
-        assert_eq!(
-            seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "parallel execution must be byte-identical"
-        );
-        assert_eq!(t_seq, t_par, "virtual time must not see the thread count");
-    }
-
-    #[test]
     fn dirty_range_transfers_cut_bytes_and_preserve_results() {
         // A kernel that writes only the first half of its output: the
         // dirty-range protocol should ship roughly half the H2D payload.
@@ -1703,6 +1572,35 @@ mod tests {
             "partial writes must ship fewer H2D bytes ({dirty_hd} vs {full_hd})"
         );
         assert!(dirty_t <= full_t, "shipping less must never slow the model");
+    }
+
+    #[test]
+    fn graph_scheduling_under_a_fault_plan_is_a_typed_config_error() {
+        use fluidicl_vcl::{FaultKind, FaultPlan};
+        let mut rt = Fluidicl::new(
+            MachineConfig::paper_testbed(),
+            FluidiclConfig::default()
+                .with_graph_scheduling(true)
+                .with_faults(Some(FaultPlan::new(FaultKind::GpuLost, 1))),
+            scale_program(),
+        );
+        let n = 256;
+        let a = rt.create_buffer(n);
+        let b = rt.create_buffer(n);
+        rt.write_buffer(a, &vec![1.0; n]).unwrap();
+        let err = rt
+            .enqueue_kernel(
+                "scale",
+                NdRange::d1(n, 64).unwrap(),
+                &[
+                    KernelArg::Buffer(a),
+                    KernelArg::Buffer(b),
+                    KernelArg::F32(2.0),
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, ClError::InvalidConfig(_)), "{err}");
+        assert!(rt.reports().is_empty(), "nothing executed eagerly");
     }
 
     #[test]

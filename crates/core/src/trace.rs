@@ -204,6 +204,8 @@ pub enum TraceKind {
     /// elsewhere (`with_graph_scheduling`). Endpoint indices follow the
     /// Ep* vocabulary: 1.. are peer GPUs. Nodes placed on the owner
     /// co-execution lane record an ordinary co-execution trace instead.
+    /// Never recorded under a fault plan: that configuration is rejected
+    /// with `ClError::InvalidConfig` before anything is deferred.
     GraphRun {
         /// Node index within the flushed graph (enqueue order).
         node: u32,

@@ -1,7 +1,7 @@
 //! # fluidicl-par — a minimal, deterministic fan-out pool
 //!
-//! The experiment sweep, the `fluidicl-check` sweep and the intra-launch
-//! executor all consist of *independent* units of work: each benchmark run
+//! The experiment sweep and the `fluidicl-check` sweep both consist of
+//! *independent* units of work: each benchmark run
 //! owns its own `Memory` and runtime, so units can execute on any thread in
 //! any order as long as the *results* are assembled in input order. This
 //! crate provides exactly that and nothing more:
@@ -15,8 +15,8 @@
 //!   tooling), then the machine's available parallelism — overridable by
 //!   the binaries' `--jobs` flag via [`configure_jobs`];
 //! * a nesting guard: a `par_map` issued *from inside* a pool worker runs
-//!   sequentially, so two fan-out layers (experiments × benchmarks, or a
-//!   sweep × the intra-launch executor) never multiply thread counts.
+//!   sequentially, so two fan-out layers (experiments × benchmarks) never
+//!   multiply thread counts.
 //!
 //! The pool is intentionally built on `std::thread::scope` rather than an
 //! external dependency: the workspace is dependency-free and the work units

@@ -57,6 +57,9 @@ pub enum ClError {
         /// What exceeded the deadline, and any retry history.
         detail: String,
     },
+    /// The runtime configuration combines options that cannot run
+    /// together (e.g. graph scheduling under a fault plan).
+    InvalidConfig(String),
 }
 
 impl fmt::Display for ClError {
@@ -84,6 +87,7 @@ impl fmt::Display for ClError {
                 write!(f, "device lost ({}): {detail}", device.name())
             }
             ClError::Timeout { op, detail } => write!(f, "timeout in {op}: {detail}"),
+            ClError::InvalidConfig(detail) => write!(f, "invalid configuration: {detail}"),
         }
     }
 }
@@ -124,6 +128,7 @@ mod tests {
                 op: "h2d transfer".into(),
                 detail: "3 retries exhausted".into(),
             },
+            ClError::InvalidConfig("graph scheduling with a fault plan".into()),
         ];
         for e in cases {
             let msg = e.to_string();
