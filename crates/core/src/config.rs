@@ -1,54 +1,17 @@
-//! Runtime configuration: chunk-sizing parameters and optimization toggles.
-
-use std::fmt;
-use std::sync::Arc;
+//! Runtime configuration: chunk-sizing parameters, optimization toggles,
+//! the fault plan and kernel-graph scheduling.
+//!
+//! How many devices co-execute is a property of the machine, not of this
+//! configuration: every peer GPU the [`MachineConfig`](fluidicl_hetsim::MachineConfig)
+//! declares joins each launch. The only in-runtime check on finished
+//! reports is the protocol linter behind [`FluidiclConfig::validate_protocol`];
+//! external checkers such as the race detector in `fluidicl-check` run on
+//! the reports afterwards.
 
 use fluidicl_hetsim::AbortMode;
 use fluidicl_vcl::FaultPlan;
 
-use crate::lint::LintDiagnostic;
 use crate::recover::RecoveryPolicy;
-use crate::stats::KernelReport;
-
-/// A runtime debug hook invoked with every completed kernel report (after
-/// the built-in protocol lint when `validate_protocol` is on). Any
-/// error-severity finding the hook returns fails the enqueue with
-/// [`ClError::ProtocolViolation`](fluidicl_vcl::ClError::ProtocolViolation),
-/// exactly like a lint error. External checkers — e.g. the happens-before
-/// race detector in `fluidicl-check` — install themselves here to validate
-/// traces *inside* the runtime during debugging runs, without the core
-/// crate depending on them.
-#[derive(Clone)]
-pub struct ReportHook(Arc<ReportCheckFn>);
-
-/// Checker closure type wrapped by [`ReportHook`].
-type ReportCheckFn = dyn Fn(&KernelReport) -> Vec<LintDiagnostic> + Send + Sync;
-
-impl ReportHook {
-    /// Wraps a checker closure as a hook.
-    pub fn new(f: impl Fn(&KernelReport) -> Vec<LintDiagnostic> + Send + Sync + 'static) -> Self {
-        ReportHook(Arc::new(f))
-    }
-
-    /// Runs the hook on one report.
-    pub fn run(&self, report: &KernelReport) -> Vec<LintDiagnostic> {
-        (self.0)(report)
-    }
-}
-
-impl fmt::Debug for ReportHook {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ReportHook(..)")
-    }
-}
-
-impl PartialEq for ReportHook {
-    fn eq(&self, other: &Self) -> bool {
-        // Closures have no structural equality; two configs compare equal
-        // only when they share the same hook instance.
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
 
 /// Configuration of the FluidiCL runtime.
 ///
@@ -116,15 +79,6 @@ pub struct FluidiclConfig {
     pub faults: Option<FaultPlan>,
     /// Watchdog/retry tuning used when `faults` is set.
     pub recovery: RecoveryPolicy,
-    /// Optional debug hook run on every completed kernel report; its
-    /// error-severity findings abort the enqueue like lint errors. `None`
-    /// (the default) costs nothing.
-    pub report_hook: Option<ReportHook>,
-    /// Cap on how many devices co-execute: CPU + owner GPU + peer GPUs.
-    /// `None` (the default) uses every peer the machine declares; `Some(2)`
-    /// forces the paper's two-device protocol even on a machine with
-    /// peers. Values beyond the machine's device count are clamped.
-    pub devices: Option<usize>,
     /// Defer enqueued kernels into a dependence DAG and dispatch
     /// independent nodes concurrently across devices (HEFT-style lookahead
     /// over footprint-derived edges). Off by default: single-kernel
@@ -153,8 +107,6 @@ impl Default for FluidiclConfig {
             pipeline_depth: 2,
             faults: None,
             recovery: RecoveryPolicy::default(),
-            report_hook: None,
-            devices: None,
             graph_scheduling: false,
         }
     }
@@ -176,19 +128,6 @@ impl FluidiclConfig {
         assert!(step_pct >= 0.0, "step must be non-negative");
         self.initial_chunk_pct = initial_pct;
         self.step_pct = step_pct;
-        self
-    }
-
-    /// Returns a copy capped at `n` co-executing devices (CPU + owner GPU
-    /// + peers). `with_devices(2)` pins the paper's two-device protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` — co-execution needs at least CPU + owner GPU.
-    #[must_use]
-    pub fn with_devices(mut self, n: usize) -> Self {
-        assert!(n >= 2, "co-execution needs at least CPU + owner GPU");
-        self.devices = Some(n);
         self
     }
 
@@ -276,15 +215,6 @@ impl FluidiclConfig {
         self
     }
 
-    /// Returns a copy with a report debug hook installed (or removed with
-    /// `None`). The hook runs on every completed kernel report and its
-    /// error-severity findings fail the enqueue.
-    #[must_use]
-    pub fn with_report_hook(mut self, hook: Option<ReportHook>) -> Self {
-        self.report_hook = hook;
-        self
-    }
-
     /// Returns a copy with kernel-graph scheduling enabled or disabled.
     #[must_use]
     pub fn with_graph_scheduling(mut self, enabled: bool) -> Self {
@@ -315,26 +245,7 @@ mod tests {
         assert_eq!(cfg.pipeline_depth, 2, "one subkernel overlaps its ship");
         assert_eq!(cfg.faults, None, "fault injection is opt-in");
         assert_eq!(cfg.recovery, RecoveryPolicy::default());
-        assert!(cfg.report_hook.is_none(), "debug hook is opt-in");
-        assert_eq!(cfg.devices, None, "every declared peer co-executes");
         assert!(!cfg.graph_scheduling, "graph scheduling is opt-in");
-    }
-
-    #[test]
-    fn report_hook_compares_by_identity_and_runs() {
-        let hook = ReportHook::new(|r| {
-            vec![LintDiagnostic::warning(
-                "test-rule",
-                format!("kernel {}", r.kernel),
-            )]
-        });
-        let a = FluidiclConfig::default().with_report_hook(Some(hook.clone()));
-        let b = FluidiclConfig::default().with_report_hook(Some(hook.clone()));
-        assert_eq!(a, b, "same hook instance compares equal");
-        let c = FluidiclConfig::default().with_report_hook(Some(ReportHook::new(|_| Vec::new())));
-        assert_ne!(a, c, "distinct hook instances differ");
-        assert_eq!(a.with_report_hook(None), FluidiclConfig::default());
-        assert!(format!("{hook:?}").contains("ReportHook"));
     }
 
     #[test]
@@ -362,17 +273,9 @@ mod tests {
         let cfg = cfg.with_dirty_range_transfers(true).with_pipeline_depth(4);
         assert!(cfg.dirty_range_transfers);
         assert_eq!(cfg.pipeline_depth, 4);
-        let cfg = cfg.with_devices(3);
-        assert_eq!(cfg.devices, Some(3));
         let cfg = cfg.with_graph_scheduling(true);
         assert!(cfg.graph_scheduling);
         assert!(!cfg.with_graph_scheduling(false).graph_scheduling);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least CPU + owner GPU")]
-    fn rejects_fewer_than_two_devices() {
-        let _ = FluidiclConfig::default().with_devices(1);
     }
 
     #[test]

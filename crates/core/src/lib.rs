@@ -48,7 +48,7 @@ mod trace;
 
 pub use buffers::{BufferState, BufferTable, KernelId, PoolStats, ScratchPool, SnapshotPool};
 pub use chunk::ChunkController;
-pub use config::{FluidiclConfig, ReportHook};
+pub use config::FluidiclConfig;
 pub use endpoint::{CpuEndpoint, NonOwnerEndpoint, PeerGpuEndpoint};
 pub use frontier::{Coverage, Frontier};
 pub use graph::{DepKind, GraphEdge, GraphNodeSummary, GraphSchedule, NodeAccess};

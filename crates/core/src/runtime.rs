@@ -6,6 +6,12 @@
 //! (§4.1), co-executing every kernel (§4.2), merging results (§4.3),
 //! returning data to the host in a background thread (§4.4, §5.6), and
 //! tracking buffer versions and locations across kernels (§5.3, §6.2).
+//!
+//! Every launch takes one of two paths. `run_coexec` co-executes it on the
+//! healthy devices — for an eager `enqueue_kernel` and for graph lane 0
+//! alike. `run_lone` runs the whole NDRange on one device: the last
+//! survivor of a device loss (CPU, owner GPU or a peer GPU), or a peer
+//! GPU's graph lane. Both gate their report through `gate_report`.
 
 use fluidicl_des::{SimDuration, SimTime};
 use fluidicl_hetsim::MachineConfig;
@@ -92,7 +98,7 @@ pub struct Fluidicl {
     /// a clone of it instead of touching dead hardware.
     fatal: Option<ClError>,
     /// Launches deferred by kernel-graph scheduling, awaiting a flush.
-    pending: Vec<PendingLaunch>,
+    pending: Vec<Launch>,
     /// Online-profiled per-(kernel, lane) node weights for HEFT lookahead,
     /// carried across flushes.
     weights: WeightTable,
@@ -101,12 +107,16 @@ pub struct Fluidicl {
     graph_schedules: Vec<GraphSchedule>,
 }
 
-/// One enqueue captured while kernel-graph scheduling defers execution.
+/// The one device a lone run executes the whole NDRange on.
 #[derive(Debug)]
-struct PendingLaunch {
-    kernel: String,
-    ndrange: NdRange,
-    args: Vec<KernelArg>,
+enum LoneDevice {
+    /// The CPU, the last survivor of a device loss.
+    Cpu,
+    /// The owner GPU, the last survivor of a device loss.
+    OwnerGpu,
+    /// A peer GPU: the last survivor of a device loss (`node: None`), or
+    /// the graph lane running node `node`.
+    Peer { slot: PeerSlot, node: Option<usize> },
 }
 
 impl Fluidicl {
@@ -257,243 +267,182 @@ impl Fluidicl {
         }
     }
 
-    /// Executes a kernel on the single surviving device after a permanent
-    /// device loss: no co-execution, no subkernels, no transfers — the
-    /// paper's protocol degrades to plain single-device OpenCL.
-    fn enqueue_degraded(
+    /// Peer GPUs that join a launch: every peer the machine declares minus
+    /// peers lost in earlier kernels. Dev indices are stable (peer slot +
+    /// 1), so traces and reports name the same card across kernels even
+    /// after losses.
+    fn healthy_peers(&self) -> Vec<PeerSlot> {
+        self.machine
+            .peers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| PeerSlot {
+                dev: i as u32 + 1,
+                peer: p.clone(),
+            })
+            .filter(|s| !self.roster.peer_dead(s.dev))
+            .collect()
+    }
+
+    /// Total size of the distinct buffers among `ids`: what a broadcast of
+    /// a launch's buffers ships (a buffer named twice crosses once).
+    fn distinct_bytes(&self, ids: &[BufferId]) -> u64 {
+        ids.iter()
+            .enumerate()
+            .filter(|(i, id)| !ids[..*i].contains(id))
+            .map(|(_, id)| self.buffers.state(*id).bytes())
+            .sum()
+    }
+
+    /// Runs a whole NDRange on one `device` — no co-execution, no
+    /// subkernels, no merge: the paper's protocol reduced to plain
+    /// single-device OpenCL. The run starts no earlier than `ready`, reports
+    /// its enqueue at the current host clock and returns `(start, complete)`;
+    /// the host clock and the owner GPU's availability are the caller's.
+    ///
+    /// A peer GPU starts from a clean slate, so it pays a host-to-device
+    /// broadcast of the launch buffers over its own link before the range.
+    /// Functionally its results land in the authoritative host copy (host
+    /// memory outlives its compute device). The fault plan's device kills
+    /// target the primary CPU/GPU pair, so a peer run is not subject to
+    /// injection. A graph node's results are also mirrored into the
+    /// owner-GPU address space, so later owner-lane nodes read coherent
+    /// data; their arrival is charged one primary-link transfer (the
+    /// refresh rides the link without occupying it — a deliberate
+    /// simplification, like host writes' DMA).
+    fn run_lone(
         &mut self,
-        kernel: &str,
         launch: &Launch,
         in_ids: &[BufferId],
         out_ids: &[BufferId],
         kid: KernelId,
-        survivor: DeviceKind,
-    ) -> ClResult<()> {
+        device: &LoneDevice,
+        ready: SimTime,
+    ) -> ClResult<(SimTime, SimTime)> {
         let total = launch.ndrange.num_groups();
         let items = launch.ndrange.items_per_group();
         let profile = &launch.kernel.default_version().profile;
-        let mut trace = vec![TraceEvent {
-            at: self.host_clock,
-            // A degraded run has no CPU/transfer overlap to speak of; its
-            // trace always reads as the serial protocol.
-            kind: TraceKind::Enqueued {
-                total_wgs: total,
-                pipeline_depth: 1,
-            },
-        }];
-        let mut all_bufs: Vec<BufferId> = in_ids.to_vec();
-        all_bufs.extend(out_ids.iter().copied());
-        let (start, duration, finisher) = match survivor {
-            DeviceKind::Cpu => {
-                let start = self.buffers.cpu_ready_time(&all_bufs).max(self.host_clock);
-                let dur =
-                    self.machine
-                        .cpu
-                        .subkernel_time(profile, items, total, self.config.wg_split);
-                (start, dur, Finisher::Cpu)
-            }
-            DeviceKind::Gpu => {
-                let start = self
-                    .buffers
-                    .gpu_ready_time(&all_bufs)
-                    .max(self.gpu_free)
-                    .max(self.host_clock)
-                    + self.machine.gpu.launch_overhead();
-                let dur =
-                    self.machine
-                        .gpu
-                        .range_time(profile, items, total, self.config.abort_mode);
-                (start, dur, Finisher::Gpu)
-            }
+        let mut all_bufs = in_ids.to_vec();
+        all_bufs.extend_from_slice(out_ids);
+        let (start, duration) = match device {
+            LoneDevice::Cpu => (
+                self.buffers.cpu_ready_time(&all_bufs).max(ready),
+                self.machine
+                    .cpu
+                    .subkernel_time(profile, items, total, self.config.wg_split),
+            ),
+            LoneDevice::OwnerGpu => (
+                self.buffers.gpu_ready_time(&all_bufs).max(ready)
+                    + self.machine.gpu.launch_overhead(),
+                self.machine
+                    .gpu
+                    .range_time(profile, items, total, self.config.abort_mode),
+            ),
+            // The host copy is the broadcast source.
+            LoneDevice::Peer { slot, .. } => (
+                self.buffers.cpu_ready_time(&all_bufs).max(ready)
+                    + slot.peer.h2d.transfer_time(self.distinct_bytes(&all_bufs))
+                    + slot.peer.gpu.launch_overhead(),
+                slot.peer
+                    .gpu
+                    .range_time(profile, items, total, self.config.abort_mode),
+            ),
         };
-        let mem = match survivor {
-            DeviceKind::Cpu => &mut self.cpu_mem,
-            DeviceKind::Gpu => &mut self.gpu_mem,
+        let (mem, injector, kind) = match device {
+            LoneDevice::Cpu => (&mut self.cpu_mem, self.injector.as_ref(), DeviceKind::Cpu),
+            LoneDevice::OwnerGpu => (&mut self.gpu_mem, self.injector.as_ref(), DeviceKind::Gpu),
+            LoneDevice::Peer { .. } => (&mut self.cpu_mem, None, DeviceKind::Gpu),
         };
-        let exec = execute_groups_injected(launch, mem, 0, total, self.injector.as_ref(), survivor);
-        if let Err(e) = exec {
+        if let Err(e) = execute_groups_injected(launch, mem, 0, total, injector, kind) {
             if matches!(e, ClError::DeviceLost { .. }) {
                 self.fatal = Some(e.clone());
             }
             return Err(e);
         }
-        let complete_at = start + duration;
-        trace.push(TraceEvent {
-            at: start,
-            kind: match survivor {
-                DeviceKind::Cpu => TraceKind::EpDegradedRun {
+        let graph_node = matches!(device, LoneDevice::Peer { node: Some(_), .. });
+        if graph_node {
+            for id in out_ids {
+                let data = self.cpu_mem.get(*id)?.to_vec();
+                self.gpu_mem.write(*id, &data)?;
+            }
+        }
+        let complete = start + duration;
+        let (run, finisher) = match device {
+            LoneDevice::Cpu => (
+                TraceKind::EpDegradedRun {
                     dev: 0,
                     from: 0,
                     to: total,
                 },
-                DeviceKind::Gpu => TraceKind::DegradedRun { from: 0, to: total },
-            },
-        });
-        trace.push(TraceEvent {
-            at: complete_at,
-            kind: TraceKind::KernelComplete { finisher },
-        });
-        let report = KernelReport {
-            kernel: kernel.to_string(),
-            kernel_id: kid,
-            enqueued_at: self.host_clock,
-            complete_at,
-            total_wgs: total,
-            gpu_executed_wgs: if survivor == DeviceKind::Gpu {
-                total
-            } else {
-                0
-            },
-            cpu_executed_wgs: if survivor == DeviceKind::Cpu {
-                total
-            } else {
-                0
-            },
-            cpu_merged_wgs: 0,
-            subkernels: 0,
-            subkernel_log: Vec::new(),
-            hd_bytes: 0,
-            dh_bytes: 0,
-            // A degraded run still reports the version online profiling
-            // settled on before the loss — selection is runtime state, not
-            // per-kernel state, so the report must not reset it to 0.
-            cpu_version_used: self.last_cpu_version,
-            peer_executed_wgs: Vec::new(),
-            finished_by: finisher,
-            duration: complete_at.saturating_since(self.host_clock),
-            trace,
-            launch_meta: Some(LaunchMeta {
-                ndrange: launch.ndrange,
-                scalars: launch.plan()?.scalars.clone(),
-                out_lens: out_ids
-                    .iter()
-                    .map(|id| self.buffers.state(*id).len)
-                    .collect(),
-            }),
-        };
-        if self.config.validate_protocol {
-            let diags = crate::lint::lint_report(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        self.host_clock = complete_at;
-        for id in out_ids {
-            match survivor {
-                DeviceKind::Cpu => self.buffers.record_cpu_arrival(*id, kid, complete_at),
-                DeviceKind::Gpu => {
-                    self.gpu_free = complete_at;
-                    self.buffers.record_gpu_arrival(*id, kid, complete_at);
-                }
-            }
-        }
-        self.reports.push(report);
-        Ok(())
-    }
-
-    /// Executes a kernel alone on a surviving peer GPU after both the CPU
-    /// and the primary GPU are gone. The peer starts from a clean slate, so
-    /// it pays a host-to-device broadcast of the launch buffers before the
-    /// range; functionally the results land in the authoritative host copy
-    /// (host memory outlives its compute device), which is what
-    /// `read_buffer` serves once the primary GPU is dead. The fault plan's
-    /// device kills target the primary CPU/GPU pair and both have already
-    /// fired, so the run itself is not subject to further injection.
-    fn enqueue_peer_degraded(
-        &mut self,
-        kernel: &str,
-        launch: &Launch,
-        in_ids: &[BufferId],
-        out_ids: &[BufferId],
-        kid: KernelId,
-        slot: &PeerSlot,
-    ) -> ClResult<()> {
-        let total = launch.ndrange.num_groups();
-        let items = launch.ndrange.items_per_group();
-        let profile = &launch.kernel.default_version().profile;
-        let mut all_bufs: Vec<BufferId> = in_ids.to_vec();
-        all_bufs.extend(out_ids.iter().copied());
-        let mut broadcast_bytes = 0u64;
-        let mut seen: Vec<BufferId> = Vec::new();
-        for id in &all_bufs {
-            if seen.contains(id) {
-                continue;
-            }
-            seen.push(*id);
-            broadcast_bytes += self.buffers.state(*id).bytes();
-        }
-        let start = self
-            .buffers
-            .cpu_ready_time(&all_bufs)
-            .max(self.gpu_free)
-            .max(self.host_clock)
-            + slot.peer.h2d.transfer_time(broadcast_bytes)
-            + slot.peer.gpu.launch_overhead();
-        let duration = slot
-            .peer
-            .gpu
-            .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
-        let complete_at = start + duration;
-        let trace = vec![
-            TraceEvent {
-                at: self.host_clock,
-                kind: TraceKind::Enqueued {
-                    total_wgs: total,
-                    pipeline_depth: 1,
-                },
-            },
-            TraceEvent {
-                at: start,
-                kind: TraceKind::EpDegradedRun {
+                Finisher::Cpu,
+            ),
+            LoneDevice::OwnerGpu => (TraceKind::DegradedRun { from: 0, to: total }, Finisher::Gpu),
+            LoneDevice::Peer { slot, node: None } => (
+                TraceKind::EpDegradedRun {
                     dev: slot.dev,
                     from: 0,
                     to: total,
                 },
-            },
-            TraceEvent {
-                at: complete_at,
-                kind: TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
+                Finisher::Gpu,
+            ),
+            LoneDevice::Peer {
+                slot,
+                node: Some(node),
+            } => (
+                TraceKind::GraphRun {
+                    node: *node as u32,
+                    dev: slot.dev,
+                    from: 0,
+                    to: total,
                 },
-            },
-        ];
+                Finisher::Gpu,
+            ),
+        };
+        let only = |runs: bool| if runs { total } else { 0 };
+        let enqueued_at = self.host_clock;
         let report = KernelReport {
-            kernel: kernel.to_string(),
+            kernel: launch.kernel.name().to_string(),
             kernel_id: kid,
-            enqueued_at: self.host_clock,
-            complete_at,
+            enqueued_at,
+            complete_at: complete,
             total_wgs: total,
-            gpu_executed_wgs: 0,
-            cpu_executed_wgs: 0,
+            gpu_executed_wgs: only(matches!(device, LoneDevice::OwnerGpu)),
+            cpu_executed_wgs: only(matches!(device, LoneDevice::Cpu)),
             cpu_merged_wgs: 0,
             subkernels: 0,
             subkernel_log: Vec::new(),
             hd_bytes: 0,
             dh_bytes: 0,
+            // A lone run still reports the version online profiling last
+            // settled on (it survives a device loss) — selection is runtime
+            // state, not per-kernel state, so the report must not reset it
+            // to 0.
             cpu_version_used: self.last_cpu_version,
-            peer_executed_wgs: vec![total],
-            finished_by: Finisher::Gpu,
-            duration: complete_at.saturating_since(self.host_clock),
-            trace,
+            peer_executed_wgs: match device {
+                LoneDevice::Peer { .. } => vec![total],
+                _ => Vec::new(),
+            },
+            finished_by: finisher,
+            duration: complete.saturating_since(enqueued_at),
+            // A lone run has no CPU/transfer overlap to speak of; its trace
+            // always reads as the serial protocol.
+            trace: vec![
+                TraceEvent {
+                    at: enqueued_at,
+                    kind: TraceKind::Enqueued {
+                        total_wgs: total,
+                        pipeline_depth: 1,
+                    },
+                },
+                TraceEvent {
+                    at: start,
+                    kind: run,
+                },
+                TraceEvent {
+                    at: complete,
+                    kind: TraceKind::KernelComplete { finisher },
+                },
+            ],
             launch_meta: Some(LaunchMeta {
                 ndrange: launch.ndrange,
                 scalars: launch.plan()?.scalars.clone(),
@@ -503,87 +452,196 @@ impl Fluidicl {
                     .collect(),
             }),
         };
-        if self.config.validate_protocol {
-            let diags = crate::lint::lint_report(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        self.host_clock = complete_at;
-        self.gpu_free = complete_at;
+        self.gate_report(&report)?;
         for id in out_ids {
-            self.buffers.record_cpu_arrival(*id, kid, complete_at);
+            match device {
+                LoneDevice::OwnerGpu => self.buffers.record_gpu_arrival(*id, kid, complete),
+                _ => self.buffers.record_cpu_arrival(*id, kid, complete),
+            }
+            if graph_node {
+                let bytes = self.buffers.state(*id).bytes();
+                let mirrored = complete + self.machine.h2d.transfer_time(bytes);
+                self.buffers.record_gpu_arrival(*id, kid, mirrored);
+            }
         }
         self.reports.push(report);
-        Ok(())
+        Ok((start, complete))
     }
 
-    /// Runs the per-report protocol gates ([`FluidiclConfig::validate_protocol`]
-    /// and the report hook) and converts the first error-severity finding
-    /// into a typed [`ClError::ProtocolViolation`].
-    fn gate_report(&self, kernel: &str, report: &KernelReport) -> ClResult<()> {
-        if self.config.validate_protocol {
-            let diags = crate::lint::lint_report(report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
+    /// Co-executes one launch on the healthy devices: the CPU (unless the
+    /// roster lost it), the owner GPU and `peers`. With the owner GPU lost,
+    /// the first of `peers` re-forms into the owner slot. No device starts
+    /// before `ready` — `SimTime::ZERO` for an eager launch, a graph node's
+    /// dependence and lane floor otherwise. Returns when the kernel
+    /// completes; the host clock is the caller's.
+    fn run_coexec(
+        &mut self,
+        launch: &Launch,
+        in_ids: &[BufferId],
+        out_ids: &[BufferId],
+        kid: KernelId,
+        ready: SimTime,
+        mut peers: Vec<PeerSlot>,
+    ) -> ClResult<SimTime> {
+        let reformed = !self.roster.gpu_healthy();
+        // The CPU scheduler waits for its inputs (In + InOut) to be current
+        // (paper §5.3); InOut buffers appear in out_ids, whose ready times
+        // `begin_kernel_write` left untouched.
+        let mut all_bufs = in_ids.to_vec();
+        all_bufs.extend_from_slice(out_ids);
+        let cpu_ready = self.buffers.cpu_ready_time(&all_bufs).max(ready);
+        let gpu_ready = self.buffers.gpu_ready_time(&all_bufs).max(ready);
+        let scratch_setup = self.scratch_setup_cost(out_ids);
+        // Owner re-formation: with the primary GPU gone but peers alive,
+        // the first healthy peer takes the owner slot of a synthetic
+        // machine and the remaining peers keep their endpoint indices. The
+        // acting owner starts each kernel from a clean slate, so its launch
+        // buffers are re-broadcast host-to-device — functionally, the
+        // device copy is refreshed from the authoritative host copy
+        // *before* the engine snapshots originals from it.
+        let mut reformed_machine: Option<MachineConfig> = None;
+        let mut acting_dev: Option<u32> = None;
+        let mut gpu_start = gpu_ready.max(self.gpu_free);
+        if reformed {
+            let acting = peers.remove(0);
+            for id in &all_bufs {
+                let data = self.cpu_mem.get(*id)?.to_vec();
+                self.gpu_mem.write(*id, &data)?;
+            }
+            let broadcast_bytes = self.distinct_bytes(&all_bufs);
+            gpu_start = gpu_start.max(cpu_ready).max(self.host_clock)
+                + acting.peer.h2d.transfer_time(broadcast_bytes);
+            reformed_machine = Some(MachineConfig {
+                cpu: self.machine.cpu.clone(),
+                gpu: acting.peer.gpu.clone(),
+                h2d: acting.peer.h2d.clone(),
+                d2h: acting.peer.d2h.clone(),
+                host: self.machine.host.clone(),
+                peers: Vec::new(),
+            });
+            acting_dev = Some(acting.dev);
+        }
+        let input = CoexecInput {
+            machine: reformed_machine.as_ref().unwrap_or(&self.machine),
+            config: &self.config,
+            launch,
+            kernel_id: kid,
+            enqueue_at: self.host_clock,
+            gpu_start,
+            cpu_start: cpu_ready,
+            scratch_setup,
+            hd_free: self.hd_free,
+            dh_free: self.dh_free,
+            cpu_mem: &mut self.cpu_mem,
+            gpu_mem: &mut self.gpu_mem,
+            snapshots: &mut self.snapshots,
+            peers,
+            injector: self.injector.as_mut(),
+            dead_cpu: !self.roster.cpu_healthy(),
+        };
+        let outcome = match Coexec::new(input).and_then(Coexec::run) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // The launch is abandoned: return the scratch buffers the
+                // setup acquired (snapshot allocations were drained inside
+                // the engine) and re-align the two address spaces so a
+                // later kernel's diff-merge cannot fold stale divergence.
+                self.release_scratch(out_ids);
+                self.restore_coherence(out_ids);
+                if matches!(e, ClError::DeviceLost { .. }) {
+                    self.fatal = Some(e.clone());
+                }
+                return Err(e);
+            }
+        };
+        if let Err(e) = self.gate_report(&outcome.report) {
+            self.release_scratch(out_ids);
+            return Err(e);
+        }
+        self.gpu_free = outcome.gpu_busy_until;
+        self.hd_free = outcome.hd_free;
+        self.dh_free = outcome.dh_free;
+        // On a re-formed run the primary card stays dead and its buffer
+        // tracking stays frozen — the next launch re-broadcasts anyway.
+        let record_gpu = !reformed && !outcome.lost_gpu;
+        for id in out_ids {
+            self.buffers
+                .record_cpu_arrival(*id, kid, outcome.cpu_results_at);
+            if record_gpu {
+                self.buffers
+                    .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
+                // The end-of-kernel copy refreshed the original snapshot
+                // (paper §5.5).
+                self.buffers.state_mut(*id).orig_snapshot_current = true;
+                if self.config.dirty_range_transfers {
+                    // The epilogue just refreshed the snapshot and the
+                    // return path (D2H thread or CPU finish, §4.4) brought
+                    // the host copy current, so both dirty sets collapse to
+                    // empty (tracker representation chosen by buffer size).
+                    let len = self.buffers.state(*id).len;
+                    self.buffers.record_kernel_dirty(
+                        *id,
+                        DirtyTracker::new(len),
+                        DirtyTracker::new(len),
+                    );
+                }
             }
         }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
+        self.release_scratch(out_ids);
+        if outcome.lost_cpu {
+            self.roster.lose_cpu();
+        }
+        if outcome.lost_gpu {
+            // In a re-formed run the engine's "gpu" is the acting peer: its
+            // loss costs that peer, not the (already dead) primary card.
+            match acting_dev {
+                Some(dev) => self.roster.lose_peer(dev),
+                None => self.roster.lose_gpu(),
             }
         }
-        Ok(())
+        for dev in outcome.lost_peers {
+            self.roster.lose_peer(dev);
+        }
+        self.last_cpu_version = outcome.report.cpu_version_used;
+        let complete = outcome.complete_at;
+        self.reports.push(outcome.report);
+        Ok(complete)
+    }
+
+    /// Runs the protocol linter on a finished report when
+    /// [`FluidiclConfig::validate_protocol`] is on, and converts the first
+    /// error-severity finding into a typed [`ClError::ProtocolViolation`].
+    fn gate_report(&self, report: &KernelReport) -> ClResult<()> {
+        if !self.config.validate_protocol {
+            return Ok(());
+        }
+        let diags = crate::lint::lint_report(report);
+        match diags
+            .iter()
+            .find(|d| d.severity == crate::lint::LintSeverity::Error)
+        {
+            Some(first) => Err(ClError::ProtocolViolation {
+                kernel: report.kernel.clone(),
+                detail: format!("{first} ({} finding(s) total)", diags.len()),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Validates a launch and parks it in the pending kernel graph instead
-    /// of executing it (graph scheduling, ISSUE 10). Signature, scalar and
-    /// buffer-handle errors still surface at enqueue time, exactly like the
-    /// eager path; only execution is deferred.
+    /// of executing it. Signature, scalar and buffer-handle errors still
+    /// surface at enqueue time, exactly like the eager path; only execution
+    /// is deferred.
     fn graph_defer(&mut self, kernel: &str, ndrange: NdRange, args: &[KernelArg]) -> ClResult<()> {
-        let def = self.program.kernel(kernel)?;
-        let launch = Launch::new(def, ndrange, args.to_vec());
-        let in_ids = launch.input_buffers()?;
-        let out_ids = launch.output_buffers()?;
-        for id in in_ids.iter().chain(out_ids.iter()) {
+        let launch = Launch::new(self.program.kernel(kernel)?, ndrange, args.to_vec());
+        for id in launch
+            .input_buffers()?
+            .iter()
+            .chain(&launch.output_buffers()?)
+        {
             self.buffers.try_state(*id)?;
         }
-        self.pending.push(PendingLaunch {
-            kernel: kernel.to_string(),
-            ndrange,
-            args: args.to_vec(),
-        });
+        self.pending.push(launch);
         Ok(())
     }
 
@@ -609,67 +667,49 @@ impl Fluidicl {
         let n = pending.len();
         // Footprints and dependence edges over the deferred launches.
         let mut accesses = Vec::with_capacity(n);
-        for p in &pending {
-            let def = self.program.kernel(&p.kernel)?;
-            let launch = Launch::new(def, p.ndrange, p.args.clone());
+        for launch in &pending {
             let buffers = &self.buffers;
-            accesses.push(graph::node_access(&launch, |id| buffers.state(id).len)?);
+            accesses.push(graph::node_access(launch, |id| buffers.state(id).len)?);
         }
         let edges = graph::build_edges(&accesses);
         // Execution lanes: lane 0 is the owner co-execution path, lane
         // p >= 1 is a healthy peer GPU running nodes alone.
-        let peer_cap = self
-            .config
-            .devices
-            .map_or(self.machine.peers.len(), |n| n.saturating_sub(2));
-        let peers: Vec<PeerSlot> = self
-            .machine
-            .peers
-            .iter()
-            .take(peer_cap)
-            .enumerate()
-            .map(|(i, p)| PeerSlot {
-                dev: i as u32 + 1,
-                peer: p.clone(),
-            })
-            .filter(|s| !self.roster.peer_dead(s.dev))
-            .collect();
+        let peers = self.healthy_peers();
         let lanes = 1 + peers.len();
         // HEFT node weights: the profiled EWMA estimate when the (kernel,
         // lane) pair has run before, a device-model seed otherwise (the
         // paper's offline profiling trials, §6.6).
         let mut weights = Vec::with_capacity(n);
-        for (i, p) in pending.iter().enumerate() {
-            let def = self.program.kernel(&p.kernel)?;
-            let profile = def.default_version().profile.clone();
-            let total = p.ndrange.num_groups();
-            let items = p.ndrange.items_per_group();
-            let mut bytes = 0u64;
-            let mut seen: Vec<BufferId> = Vec::new();
-            for (id, _) in accesses[i].reads.iter().chain(accesses[i].writes.iter()) {
-                if !seen.contains(id) {
-                    seen.push(*id);
-                    bytes += self.buffers.state(*id).bytes();
-                }
-            }
+        for (launch, access) in pending.iter().zip(&accesses) {
+            let kernel = launch.kernel.name();
+            let profile = &launch.kernel.default_version().profile;
+            let total = launch.ndrange.num_groups();
+            let items = launch.ndrange.items_per_group();
+            let ids: Vec<BufferId> = access
+                .reads
+                .iter()
+                .chain(&access.writes)
+                .map(|(id, _)| *id)
+                .collect();
+            let bytes = self.distinct_bytes(&ids);
             let mut row = Vec::with_capacity(lanes);
             let owner_seed = self
                 .machine
                 .gpu
-                .range_time(&profile, items, total, self.config.abort_mode)
+                .range_time(profile, items, total, self.config.abort_mode)
                 .as_nanos();
-            row.push(self.weights.estimate_ns(&p.kernel, 0, owner_seed));
+            row.push(self.weights.estimate_ns(kernel, 0, owner_seed));
             for (l, slot) in peers.iter().enumerate() {
                 // A peer starts from a clean slate: broadcast + launch +
-                // range (mirrors the peer-degraded cost model).
+                // range (mirrors the lone peer run's cost model).
                 let seed = slot.peer.h2d.transfer_time(bytes).as_nanos()
                     + slot.peer.gpu.launch_overhead().as_nanos()
                     + slot
                         .peer
                         .gpu
-                        .range_time(&profile, items, total, self.config.abort_mode)
+                        .range_time(profile, items, total, self.config.abort_mode)
                         .as_nanos();
-                row.push(self.weights.estimate_ns(&p.kernel, l + 1, seed));
+                row.push(self.weights.estimate_ns(kernel, l + 1, seed));
             }
             weights.push(row);
         }
@@ -690,14 +730,16 @@ impl Fluidicl {
         let plan = heft::plan(&weights, &heft_edges);
         // Execute in rank order. Every edge kind serializes its endpoints
         // (conservative: anti/output deps wait for full completion too), so
-        // memory effects match the serial enqueue order exactly.
+        // memory effects match the serial enqueue order exactly. The host
+        // clock stays at `flush_at` until every node has run, so each node
+        // reports its enqueue at the flush.
         let flush_at = self.host_clock;
         let mut node_start = vec![SimTime::ZERO; n];
         let mut node_complete = vec![SimTime::ZERO; n];
         let mut node_kid = vec![0u64; n];
         let mut lane_free = vec![flush_at; lanes];
         for &node in &plan.order {
-            let p = &pending[node];
+            let launch = &pending[node];
             let dep_ready = edges
                 .iter()
                 .filter(|e| e.to == node)
@@ -706,25 +748,40 @@ impl Fluidicl {
             let lane = plan.lane[node];
             let kid = self.next_kernel_id;
             self.next_kernel_id += 1;
+            let in_ids = launch.input_buffers()?;
+            let out_ids = launch.output_buffers()?;
+            for id in &out_ids {
+                self.buffers.begin_kernel_write(*id, kid);
+            }
             let ready = dep_ready.max(lane_free[lane]);
             let (start, complete) = if lane == 0 {
-                self.graph_run_owner(p, kid, ready, flush_at)?
+                // Sibling graph nodes occupy the peers; this node
+                // co-executes on the owner and the CPU alone.
+                let complete =
+                    self.run_coexec(launch, &in_ids, &out_ids, kid, ready, Vec::new())?;
+                (ready, complete)
             } else {
-                let slot = peers[lane - 1].clone();
-                self.graph_run_peer(node, p, kid, &slot, ready, flush_at)?
+                let device = LoneDevice::Peer {
+                    slot: peers[lane - 1].clone(),
+                    node: Some(node),
+                };
+                self.run_lone(launch, &in_ids, &out_ids, kid, &device, ready)?
             };
             lane_free[lane] = complete;
             node_start[node] = start;
             node_complete[node] = complete;
             node_kid[node] = kid;
-            self.weights
-                .observe_ns(&p.kernel, lane, complete.saturating_since(start).as_nanos());
+            self.weights.observe_ns(
+                launch.kernel.name(),
+                lane,
+                complete.saturating_since(start).as_nanos(),
+            );
         }
         self.host_clock = node_complete.iter().copied().fold(flush_at, SimTime::max);
         let nodes = (0..n)
             .map(|i| GraphNodeSummary {
                 node: i,
-                kernel: pending[i].kernel.clone(),
+                kernel: pending[i].kernel.name().to_string(),
                 kernel_id: node_kid[i],
                 lane: plan.lane[i],
                 start_at: node_start[i],
@@ -736,209 +793,7 @@ impl Fluidicl {
         self.graph_schedules.push(GraphSchedule { nodes, edges });
         Ok(())
     }
-
-    /// Executes one graph node on lane 0: the full owner co-execution path
-    /// (CPU subkernels + owner GPU under the fluidic protocol), floored at
-    /// `ready` so dependence edges and lane occupancy are respected.
-    fn graph_run_owner(
-        &mut self,
-        p: &PendingLaunch,
-        kid: KernelId,
-        ready: SimTime,
-        flush_at: SimTime,
-    ) -> ClResult<(SimTime, SimTime)> {
-        let def = self.program.kernel(&p.kernel)?;
-        let launch = Launch::new(def, p.ndrange, p.args.to_vec());
-        let in_ids = launch.input_buffers()?;
-        let out_ids = launch.output_buffers()?;
-        for id in &out_ids {
-            self.buffers.begin_kernel_write(*id, kid);
-        }
-        let mut cpu_inputs = in_ids.clone();
-        cpu_inputs.extend(out_ids.iter().copied());
-        let cpu_ready = self.buffers.cpu_ready_time(&cpu_inputs).max(ready);
-        let mut all_bufs = in_ids;
-        all_bufs.extend(out_ids.iter().copied());
-        let gpu_ready = self.buffers.gpu_ready_time(&all_bufs).max(ready);
-        let scratch_setup = self.scratch_setup_cost(&out_ids);
-        let input = CoexecInput {
-            machine: &self.machine,
-            config: &self.config,
-            launch: &launch,
-            kernel_id: kid,
-            enqueue_at: flush_at,
-            gpu_start: gpu_ready.max(self.gpu_free),
-            cpu_start: cpu_ready,
-            scratch_setup,
-            hd_free: self.hd_free,
-            dh_free: self.dh_free,
-            cpu_mem: &mut self.cpu_mem,
-            gpu_mem: &mut self.gpu_mem,
-            snapshots: &mut self.snapshots,
-            // Sibling graph nodes occupy the peers; this node co-executes
-            // on the owner and the CPU alone.
-            peers: Vec::new(),
-            injector: None,
-            dead_cpu: false,
-        };
-        let outcome = match Coexec::new(input).and_then(Coexec::run) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.release_scratch(&out_ids);
-                self.restore_coherence(&out_ids);
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.gate_report(&p.kernel, &outcome.report) {
-            self.release_scratch(&out_ids);
-            return Err(e);
-        }
-        self.gpu_free = outcome.gpu_busy_until;
-        self.hd_free = outcome.hd_free;
-        self.dh_free = outcome.dh_free;
-        for id in &out_ids {
-            self.buffers
-                .record_cpu_arrival(*id, kid, outcome.cpu_results_at);
-            self.buffers
-                .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
-            self.buffers.state_mut(*id).orig_snapshot_current = true;
-            if self.config.dirty_range_transfers {
-                let len = self.buffers.state(*id).len;
-                self.buffers.record_kernel_dirty(
-                    *id,
-                    DirtyTracker::new(len),
-                    DirtyTracker::new(len),
-                );
-            }
-        }
-        self.release_scratch(&out_ids);
-        self.last_cpu_version = outcome.report.cpu_version_used;
-        let complete = outcome.complete_at;
-        self.reports.push(outcome.report);
-        Ok((ready, complete))
-    }
-
-    /// Executes one graph node alone on peer GPU `slot` (lane `>= 1`).
-    /// Mirrors the peer-degraded cost model: the peer starts from a clean
-    /// slate, so it pays a host-to-device broadcast of the launch buffers
-    /// over its own link before the range. Results land in the
-    /// authoritative host copy and are mirrored into the owner-GPU address
-    /// space, whose arrival is charged one primary-link transfer (the
-    /// refresh rides the link without occupying it — a deliberate
-    /// simplification, like host writes' DMA).
-    fn graph_run_peer(
-        &mut self,
-        node: usize,
-        p: &PendingLaunch,
-        kid: KernelId,
-        slot: &PeerSlot,
-        ready: SimTime,
-        flush_at: SimTime,
-    ) -> ClResult<(SimTime, SimTime)> {
-        let def = self.program.kernel(&p.kernel)?;
-        let launch = Launch::new(def, p.ndrange, p.args.to_vec());
-        let in_ids = launch.input_buffers()?;
-        let out_ids = launch.output_buffers()?;
-        for id in &out_ids {
-            self.buffers.begin_kernel_write(*id, kid);
-        }
-        let total = launch.ndrange.num_groups();
-        let items = launch.ndrange.items_per_group();
-        let profile = &launch.kernel.default_version().profile;
-        let mut all_bufs: Vec<BufferId> = in_ids.clone();
-        all_bufs.extend(out_ids.iter().copied());
-        let mut broadcast_bytes = 0u64;
-        let mut seen: Vec<BufferId> = Vec::new();
-        for id in &all_bufs {
-            if seen.contains(id) {
-                continue;
-            }
-            seen.push(*id);
-            broadcast_bytes += self.buffers.state(*id).bytes();
-        }
-        // The host copy is the broadcast source: wait for it and for the
-        // graph dependences folded into `ready`.
-        let start = self.buffers.cpu_ready_time(&all_bufs).max(ready)
-            + slot.peer.h2d.transfer_time(broadcast_bytes)
-            + slot.peer.gpu.launch_overhead();
-        let duration = slot
-            .peer
-            .gpu
-            .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(&launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
-        // Mirror the results into the owner-GPU address space so later
-        // owner-lane nodes read coherent data.
-        for id in &out_ids {
-            let data = self.cpu_mem.get(*id)?.to_vec();
-            self.gpu_mem.write(*id, &data)?;
-        }
-        let complete_at = start + duration;
-        let trace = vec![
-            TraceEvent {
-                at: flush_at,
-                kind: TraceKind::Enqueued {
-                    total_wgs: total,
-                    pipeline_depth: 1,
-                },
-            },
-            TraceEvent {
-                at: start,
-                kind: TraceKind::GraphRun {
-                    node: node as u32,
-                    dev: slot.dev,
-                    from: 0,
-                    to: total,
-                },
-            },
-            TraceEvent {
-                at: complete_at,
-                kind: TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            },
-        ];
-        let report = KernelReport {
-            kernel: p.kernel.clone(),
-            kernel_id: kid,
-            enqueued_at: flush_at,
-            complete_at,
-            total_wgs: total,
-            gpu_executed_wgs: 0,
-            cpu_executed_wgs: 0,
-            cpu_merged_wgs: 0,
-            subkernels: 0,
-            subkernel_log: Vec::new(),
-            hd_bytes: 0,
-            dh_bytes: 0,
-            cpu_version_used: self.last_cpu_version,
-            peer_executed_wgs: vec![total],
-            finished_by: Finisher::Gpu,
-            duration: complete_at.saturating_since(flush_at),
-            trace,
-            launch_meta: Some(LaunchMeta {
-                ndrange: launch.ndrange,
-                scalars: launch.plan()?.scalars.clone(),
-                out_lens: out_ids
-                    .iter()
-                    .map(|id| self.buffers.state(*id).len)
-                    .collect(),
-            }),
-        };
-        self.gate_report(&p.kernel, &report)?;
-        for id in &out_ids {
-            self.buffers.record_cpu_arrival(*id, kid, complete_at);
-            let bytes = self.buffers.state(*id).bytes();
-            self.buffers.record_gpu_arrival(
-                *id,
-                kid,
-                complete_at + self.machine.h2d.transfer_time(bytes),
-            );
-        }
-        self.reports.push(report);
-        Ok((start, complete_at))
-    }
 }
-
 impl ClDriver for Fluidicl {
     fn create_buffer(&mut self, len: usize) -> BufferId {
         // clCreateBuffer allocates on both devices (paper §4.1); the GPU
@@ -1001,8 +856,7 @@ impl ClDriver for Fluidicl {
         if self.config.graph_scheduling {
             return self.graph_defer(kernel, ndrange, args);
         }
-        let def = self.program.kernel(kernel)?;
-        let launch = Launch::new(def, ndrange, args.to_vec());
+        let launch = Launch::new(self.program.kernel(kernel)?, ndrange, args.to_vec());
         let in_ids = launch.input_buffers()?;
         let out_ids = launch.output_buffers()?;
         // Reject forged buffer handles up front with a typed error; every
@@ -1015,34 +869,17 @@ impl ClDriver for Fluidicl {
         for id in &out_ids {
             self.buffers.begin_kernel_write(*id, kid);
         }
-        // Peer GPUs joining this launch: every peer the machine declares,
-        // capped by `config.devices`, minus peers lost in earlier kernels.
-        // Dev indices are stable (peer slot + 1), so traces and reports
-        // name the same card across kernels even after losses.
-        let peer_cap = self
-            .config
-            .devices
-            .map_or(self.machine.peers.len(), |n| n.saturating_sub(2));
-        let peers: Vec<PeerSlot> = self
-            .machine
-            .peers
-            .iter()
-            .take(peer_cap)
-            .enumerate()
-            .map(|(i, p)| PeerSlot {
-                dev: i as u32 + 1,
-                peer: p.clone(),
-            })
-            .filter(|s| !self.roster.peer_dead(s.dev))
-            .collect();
         // Roster dispatch: after a loss, follow-on kernels re-form and
         // co-execute on every healthy survivor; a single survivor executes
         // the whole NDRange as a plain single-device launch; no survivor is
         // a stable typed error.
-        let cpu_ok = self.roster.cpu_healthy();
-        let gpu_ok = self.roster.gpu_healthy();
-        match (cpu_ok, gpu_ok, peers.is_empty()) {
-            (false, false, true) => {
+        let peers = self.healthy_peers();
+        let device = match (
+            self.roster.cpu_healthy(),
+            self.roster.gpu_healthy(),
+            peers.first(),
+        ) {
+            (false, false, None) => {
                 let e = ClError::DeviceLost {
                     device: DeviceKind::Gpu,
                     detail: "no healthy device remains to execute the kernel".into(),
@@ -1050,190 +887,32 @@ impl ClDriver for Fluidicl {
                 self.fatal = Some(e.clone());
                 return Err(e);
             }
-            (false, false, false) => {
-                let slot = peers[0].clone();
-                return self.enqueue_peer_degraded(kernel, &launch, &in_ids, &out_ids, kid, &slot);
-            }
-            (true, false, true) => {
-                return self.enqueue_degraded(
-                    kernel,
-                    &launch,
-                    &in_ids,
-                    &out_ids,
-                    kid,
-                    DeviceKind::Cpu,
-                );
-            }
-            (false, true, true) => {
-                return self.enqueue_degraded(
-                    kernel,
-                    &launch,
-                    &in_ids,
-                    &out_ids,
-                    kid,
-                    DeviceKind::Gpu,
-                );
-            }
-            // At least two healthy devices remain: co-execute below, with a
-            // dead CPU endpoint and/or a re-formed acting owner as needed.
-            _ => {}
-        }
-        let reformed = !gpu_ok;
-        let dead_cpu = !cpu_ok;
-        // The CPU scheduler waits for its inputs (In + InOut) to be current
-        // (paper §5.3); `begin_kernel_write` just reset InOut readiness, so
-        // compute from the pre-kernel ready times via in_ids plus the InOut
-        // subset captured before the reset — InOut buffers appear in
-        // out_ids, whose cpu_ready_at we read below *before* any update.
-        let mut cpu_inputs = in_ids.clone();
-        cpu_inputs.extend(out_ids.iter().copied());
-        let cpu_ready = self.buffers.cpu_ready_time(&cpu_inputs);
-        let mut all_bufs = in_ids;
-        all_bufs.extend(out_ids.iter().copied());
-        let gpu_ready = self.buffers.gpu_ready_time(&all_bufs);
-        let scratch_setup = self.scratch_setup_cost(&out_ids);
-        // Owner re-formation: with the primary GPU gone but peers alive,
-        // the first healthy peer takes the owner slot of a synthetic
-        // machine and the remaining peers keep their endpoint indices. The
-        // acting owner starts each kernel from a clean slate, so its launch
-        // buffers are re-broadcast host-to-device — functionally, the
-        // device copy is refreshed from the authoritative host copy
-        // *before* the engine snapshots originals from it.
-        let mut coexec_peers = peers;
-        let mut reformed_machine: Option<MachineConfig> = None;
-        let mut acting_dev: Option<u32> = None;
-        let mut gpu_start = gpu_ready.max(self.gpu_free);
-        if reformed {
-            let acting = coexec_peers.remove(0);
-            let mut broadcast_bytes = 0u64;
-            let mut seen: Vec<BufferId> = Vec::new();
-            for id in &all_bufs {
-                if seen.contains(id) {
-                    continue;
-                }
-                seen.push(*id);
-                let data = self.cpu_mem.get(*id)?.to_vec();
-                broadcast_bytes += data.len() as u64 * 4;
-                self.gpu_mem.write(*id, &data)?;
-            }
-            gpu_start = gpu_start.max(cpu_ready).max(self.host_clock)
-                + acting.peer.h2d.transfer_time(broadcast_bytes);
-            reformed_machine = Some(MachineConfig {
-                cpu: self.machine.cpu.clone(),
-                gpu: acting.peer.gpu.clone(),
-                h2d: acting.peer.h2d.clone(),
-                d2h: acting.peer.d2h.clone(),
-                host: self.machine.host.clone(),
-                peers: Vec::new(),
-            });
-            acting_dev = Some(acting.dev);
-        }
-        let input = CoexecInput {
-            machine: reformed_machine.as_ref().unwrap_or(&self.machine),
-            config: &self.config,
-            launch: &launch,
-            kernel_id: kid,
-            enqueue_at: self.host_clock,
-            gpu_start,
-            cpu_start: cpu_ready,
-            scratch_setup,
-            hd_free: self.hd_free,
-            dh_free: self.dh_free,
-            cpu_mem: &mut self.cpu_mem,
-            gpu_mem: &mut self.gpu_mem,
-            snapshots: &mut self.snapshots,
-            peers: coexec_peers,
-            injector: self.injector.as_mut(),
-            dead_cpu,
-        };
-        let outcome = match Coexec::new(input).and_then(Coexec::run) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // The launch is abandoned: return the scratch buffers the
-                // setup acquired (snapshot allocations were drained inside
-                // the engine) and re-align the two address spaces so a
-                // later kernel's diff-merge cannot fold stale divergence.
-                self.release_scratch(&out_ids);
-                self.restore_coherence(&out_ids);
-                if matches!(e, ClError::DeviceLost { .. }) {
-                    self.fatal = Some(e.clone());
-                }
-                return Err(e);
+            (false, false, Some(slot)) => LoneDevice::Peer {
+                slot: slot.clone(),
+                node: None,
+            },
+            (true, false, None) => LoneDevice::Cpu,
+            (false, true, None) => LoneDevice::OwnerGpu,
+            // At least two healthy devices remain: co-execute, with a dead
+            // CPU endpoint and/or a re-formed acting owner as needed.
+            _ => {
+                self.host_clock =
+                    self.run_coexec(&launch, &in_ids, &out_ids, kid, SimTime::ZERO, peers)?;
+                return Ok(());
             }
         };
-        if self.config.validate_protocol {
-            let diags = crate::lint::lint_report(&outcome.report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                self.release_scratch(&out_ids);
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
+        // A lone GPU run, owner or peer, queues behind the previous GPU
+        // kernel (`gpu_free`) and then holds that slot; a lone CPU run waits
+        // only for the host.
+        let ready = match device {
+            LoneDevice::Cpu => self.host_clock,
+            _ => self.host_clock.max(self.gpu_free),
+        };
+        let (_, complete) = self.run_lone(&launch, &in_ids, &out_ids, kid, &device, ready)?;
+        if !matches!(device, LoneDevice::Cpu) {
+            self.gpu_free = complete;
         }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(&outcome.report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                self.release_scratch(&out_ids);
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        self.host_clock = outcome.complete_at;
-        self.gpu_free = outcome.gpu_busy_until;
-        self.hd_free = outcome.hd_free;
-        self.dh_free = outcome.dh_free;
-        // On a re-formed run the primary card stays dead and its buffer
-        // tracking stays frozen — the next launch re-broadcasts anyway.
-        let record_gpu = !reformed && !outcome.lost_gpu;
-        for id in &out_ids {
-            self.buffers
-                .record_cpu_arrival(*id, kid, outcome.cpu_results_at);
-            if record_gpu {
-                self.buffers
-                    .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
-                // The end-of-kernel copy refreshed the original snapshot
-                // (paper §5.5).
-                self.buffers.state_mut(*id).orig_snapshot_current = true;
-                if self.config.dirty_range_transfers {
-                    // The epilogue just refreshed the snapshot and the
-                    // return path (D2H thread or CPU finish, §4.4) brought
-                    // the host copy current, so both dirty sets collapse to
-                    // empty (tracker representation chosen by buffer size).
-                    let len = self.buffers.state(*id).len;
-                    self.buffers.record_kernel_dirty(
-                        *id,
-                        DirtyTracker::new(len),
-                        DirtyTracker::new(len),
-                    );
-                }
-            }
-        }
-        self.release_scratch(&out_ids);
-        if outcome.lost_cpu {
-            self.roster.lose_cpu();
-        }
-        if outcome.lost_gpu {
-            // In a re-formed run the engine's "gpu" is the acting peer: its
-            // loss costs that peer, not the (already dead) primary card.
-            match acting_dev {
-                Some(dev) => self.roster.lose_peer(dev),
-                None => self.roster.lose_gpu(),
-            }
-        }
-        for dev in outcome.lost_peers {
-            self.roster.lose_peer(dev);
-        }
-        self.last_cpu_version = outcome.report.cpu_version_used;
-        self.reports.push(outcome.report);
+        self.host_clock = complete;
         Ok(())
     }
 
@@ -1245,7 +924,7 @@ impl ClDriver for Fluidicl {
         // regardless of what location tracking would prefer. With the
         // primary GPU dead the host copy is authoritative even if the CPU
         // device also died — host memory outlives its compute device, and
-        // re-formed/peer-degraded runs mirror results into it.
+        // re-formed runs and lone peer runs mirror results into it.
         let use_cpu_copy = if !self.roster.gpu_healthy() {
             true
         } else if !self.roster.cpu_healthy() {

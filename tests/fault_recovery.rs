@@ -140,47 +140,64 @@ fn double_loss_surfaces_a_typed_device_lost_error() {
 
 #[test]
 fn permanent_loss_degrades_follow_on_kernels() {
-    // CORR enqueues four kernels; once the GPU dies in an early one, every
-    // later kernel must run single-device on the CPU (an endpoint-0
-    // degraded span)
-    // and the whole benchmark must still match the reference.
-    let (rt, res) = scan("CORR", FaultKind::GpuLost, |rt, res| {
-        matches!(res, Ok(true)) && has_event(rt, |k| matches!(k, TraceKind::EpDegradedRun { .. }))
-    });
-    assert!(res.unwrap());
-    assert_eq!(rt.lost_device(), Some(DeviceKind::Gpu));
-    let lost_at = rt
-        .reports()
-        .iter()
-        .position(|r| {
+    // CORR enqueues four kernels; once one device dies in an early one,
+    // every later kernel must run single-device on the survivor — an
+    // endpoint-0 degraded span on the CPU, a `DegradedRun` on the owner
+    // GPU — and the whole benchmark must still match the reference.
+    // `survivor` names the degraded span: `None` for the owner GPU,
+    // `Some(dev)` for a non-owner endpoint.
+    for (kind, lost, survivor, finisher) in [
+        (FaultKind::GpuLost, DeviceKind::Gpu, Some(0), Finisher::Cpu),
+        (FaultKind::CpuLost, DeviceKind::Cpu, None, Finisher::Gpu),
+    ] {
+        let degraded = |r: &fluidicl::KernelReport| -> Vec<Option<u32>> {
             r.trace
                 .iter()
-                .any(|e| matches!(e.kind, TraceKind::DeviceLost))
-        })
-        .expect("some report records the loss");
-    for r in &rt.reports()[lost_at + 1..] {
-        // The survivor of each degraded span: `None` for the owner GPU,
-        // `Some(dev)` for a non-owner endpoint.
-        let degraded: Vec<Option<u32>> = r
-            .trace
+                .filter_map(|e| match e.kind {
+                    TraceKind::DegradedRun { .. } => Some(None),
+                    TraceKind::EpDegradedRun { dev, .. } => Some(Some(dev)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (rt, res) = scan("CORR", kind, |rt, res| {
+            matches!(res, Ok(true)) && rt.reports().iter().any(|r| degraded(r).contains(&survivor))
+        });
+        assert!(res.unwrap());
+        assert_eq!(rt.lost_device(), Some(lost));
+        let lost_at = rt
+            .reports()
             .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::DegradedRun { .. } => Some(None),
-                TraceKind::EpDegradedRun { dev, .. } => Some(Some(dev)),
-                _ => None,
+            .position(|r| {
+                r.trace.iter().any(|e| match lost {
+                    DeviceKind::Gpu => matches!(e.kind, TraceKind::DeviceLost),
+                    DeviceKind::Cpu => matches!(e.kind, TraceKind::NonOwnerLost { dev: 0 }),
+                })
             })
-            .collect();
-        assert!(
-            !degraded.is_empty(),
-            "{}: kernels after a permanent loss run degraded",
-            r.kernel
-        );
-        assert!(
-            degraded.iter().all(|d| *d == Some(0)),
-            "{}: the survivor is the CPU",
-            r.kernel
-        );
-        assert_eq!(r.finished_by, Finisher::Cpu);
+            .expect("some report records the loss");
+        for r in &rt.reports()[lost_at + 1..] {
+            let spans = degraded(r);
+            assert!(
+                !spans.is_empty(),
+                "{kind:?} {}: kernels after a permanent loss run degraded",
+                r.kernel
+            );
+            assert!(
+                spans.iter().all(|d| *d == survivor),
+                "{kind:?} {}: the survivor runs every degraded span",
+                r.kernel
+            );
+            assert_eq!(r.finished_by, finisher);
+            let survivor_wgs = match finisher {
+                Finisher::Cpu => r.cpu_executed_wgs,
+                Finisher::Gpu => r.gpu_executed_wgs,
+            };
+            assert_eq!(
+                survivor_wgs, r.total_wgs,
+                "{kind:?} {}: the survivor runs the whole NDRange",
+                r.kernel
+            );
+        }
     }
 }
 
