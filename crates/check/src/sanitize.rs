@@ -7,7 +7,9 @@
 //! but corrupts them under co-execution. The sanitizer detects the lies by
 //! running the kernel a few times over cloned memory with controlled
 //! initial states and comparing shadow-memory write maps
-//! ([`fluidicl_vcl::execute_groups_shadowed`]):
+//! ([`fluidicl_vcl::execute_groups_shadowed`], which dispatches each
+//! work-group exactly as normal execution does, so a kernel version's
+//! work-group body is what gets checked):
 //!
 //! * **`out-read-before-write`** — run twice with every `Out` buffer filled
 //!   with two different sentinel values. A kernel that never reads its
@@ -56,8 +58,8 @@ pub const SENTINEL_B: f32 = -88_211.406_25;
 /// vector means the kernel's behaviour matches its declared signature.
 pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
     let mut out = Vec::new();
-    let out_ids = match launch.kernel.classify_args(&launch.args) {
-        Ok((_ins, outs, _scalars)) => outs,
+    let out_ids = match launch.plan() {
+        Ok(plan) => &plan.outs,
         Err(e) => return vec![LintDiagnostic::error("signature", e.to_string())],
     };
     let specs = launch.kernel.args();

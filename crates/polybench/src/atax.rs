@@ -10,6 +10,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
+use crate::linalg::column_matvec;
 
 /// Default (scaled) problem size: the paper uses 8672²; we scale down so
 /// functional execution stays fast while the cost models keep the paper's
@@ -69,30 +70,38 @@ pub fn program(n: usize) -> Program {
             outs.at(0)[i] = acc;
         },
     ));
-    p.register(KernelDef::new(
-        "atax_k2",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_k2(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let j = item.global[0];
-            let a = ins.get(0);
-            let tmp = ins.get(1);
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                acc += a[i * n + j] * tmp[i];
-            }
-            outs.at(0)[j] = acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "atax_k2",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_k2(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let j = item.global[0];
+                let a = ins.get(0);
+                let tmp = ins.get(1);
+                let mut acc = 0.0f32;
+                for i in 0..n {
+                    acc += a[i * n + j] * tmp[i];
+                }
+                outs.at(0)[j] = acc;
+            },
+        )
+        // The group's columns in one pass down the rows of `a`.
+        .with_group_body(|wg, scalars, ins, outs| {
+            let cols = wg.global_range(0);
+            let y = column_matvec(ins.get(0), ins.get(1), scalars.usize(0), cols.clone());
+            outs.at(0)[cols].copy_from_slice(&y);
+        }),
+    );
     p
 }
 
@@ -147,15 +156,7 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
         }
         tmp[i] = acc;
     }
-    let mut y = vec![0.0f32; n];
-    for (j, yj) in y.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            acc += a[i * n + j] * tmp[i];
-        }
-        *yj = acc;
-    }
-    vec![y]
+    vec![column_matvec(&a, &tmp, n, 0..n)]
 }
 
 /// Work-group counts per kernel for problem size `n` (Table 2 reporting).

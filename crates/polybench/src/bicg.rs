@@ -12,6 +12,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
+use crate::linalg::column_matvec;
 
 /// Default (scaled) problem size (paper: 4576²).
 pub const DEFAULT_N: usize = 4096;
@@ -70,30 +71,38 @@ pub fn program(n: usize) -> Program {
             outs.at(0)[i] = acc;
         },
     ));
-    p.register(KernelDef::new(
-        "bicg_s",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("r", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("s", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_s(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let j = item.global[0];
-            let a = ins.get(0);
-            let r = ins.get(1);
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                acc += a[i * n + j] * r[i];
-            }
-            outs.at(0)[j] = acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "bicg_s",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("r", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("s", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_s(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let j = item.global[0];
+                let a = ins.get(0);
+                let r = ins.get(1);
+                let mut acc = 0.0f32;
+                for i in 0..n {
+                    acc += a[i * n + j] * r[i];
+                }
+                outs.at(0)[j] = acc;
+            },
+        )
+        // The group's columns in one pass down the rows of `a`.
+        .with_group_body(|wg, scalars, ins, outs| {
+            let cols = wg.global_range(0);
+            let s = column_matvec(ins.get(0), ins.get(1), scalars.usize(0), cols.clone());
+            outs.at(0)[cols].copy_from_slice(&s);
+        }),
+    );
     p
 }
 
@@ -143,14 +152,7 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let a = gen_matrix(n, n, seed);
     let p = gen_vector(n, seed.wrapping_add(1));
     let r = gen_vector(n, seed.wrapping_add(2));
-    let mut s = vec![0.0f32; n];
-    for (j, sj) in s.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            acc += a[i * n + j] * r[i];
-        }
-        *sj = acc;
-    }
+    let s = column_matvec(&a, &r, n, 0..n);
     let mut q = vec![0.0f32; n];
     for (i, qi) in q.iter_mut().enumerate() {
         let mut acc = 0.0f32;

@@ -6,6 +6,11 @@
 //! correlation kernel is GPU-oriented and cache-hostile on the CPU; a
 //! loop-interchanged alternative makes the CPU competitive, and FluidiCL's
 //! online profiling (§6.6) finds it without user intervention.
+//!
+//! Both versions of the correlation kernel register the same functional
+//! body, [`corr_body`]; they differ only in their [`KernelProfile`], which
+//! is all the cost models and the online profiler see. What the paper's
+//! two OpenCL versions compute is identical, so one body serves both.
 
 use fluidicl_hetsim::KernelProfile;
 use fluidicl_vcl::{
@@ -59,8 +64,9 @@ fn profile_center(_n: usize) -> KernelProfile {
 }
 
 fn profile_corr_base(n: usize) -> KernelProfile {
-    // Naive GPU-oriented version: the k-loop walks columns, which the GPU
-    // coalesces across the warp but the CPU cache hates.
+    // Cost of the paper's naive GPU-oriented version, whose k-loop walks
+    // columns: the GPU coalesces that across the warp, the CPU cache hates
+    // it. (The functional body, shared by both versions, is `corr_body`.)
     KernelProfile::new("corr_corr")
         .flops_per_item((n as f64) * (n as f64))
         .bytes_read_per_item(4.0 * (n as f64) * (n as f64))
@@ -73,8 +79,10 @@ fn profile_corr_base(n: usize) -> KernelProfile {
 }
 
 fn profile_corr_interchanged(n: usize) -> KernelProfile {
-    // The hand-written CPU alternative of paper Table 3: loops interchanged
-    // for cache locality. Identical semantics, far better CPU behaviour.
+    // Cost of the hand-written CPU alternative of paper Table 3, with loops
+    // interchanged for cache locality: identical semantics, far better CPU
+    // behaviour. Only this profile distinguishes the version; it runs the
+    // same `corr_body` as the baseline.
     KernelProfile::new("corr_corr_interchanged")
         .flops_per_item((n as f64) * (n as f64))
         // Loop interchange enables cache blocking: each matrix element is
@@ -89,6 +97,26 @@ fn profile_corr_interchanged(n: usize) -> KernelProfile {
         .cpu_simd_friendliness(0.9)
 }
 
+/// Row `j1` of the correlation matrix past its diagonal: for each `j2` in
+/// `j1+1..n`, in order, the sum `Σₖ data[k·n + j1] · data[k·n + j2]`.
+///
+/// Each sum runs over `k` in increasing order from `0.0`, as a loop over
+/// `k` per `j2` does, so every element is bit-identical to it; the loops
+/// are interchanged (`k` outer, `j2` inner over a row accumulator) so
+/// `data` is read row by row instead of down two columns.
+fn corr_row(data: &[f32], n: usize, j1: usize) -> Vec<f32> {
+    let mut acc = vec![0.0f32; n - j1 - 1];
+    for row in data.chunks_exact(n).take(n) {
+        let d1 = row[j1];
+        for (s, &d2) in acc.iter_mut().zip(&row[j1 + 1..]) {
+            *s += d1 * d2;
+        }
+    }
+    acc
+}
+
+/// Work-item `j1` of the correlation kernel, shared by both versions: the
+/// diagonal plus row `j1` past it, mirrored below the diagonal.
 fn corr_body(
     item: &WorkItem,
     scalars: &Scalars,
@@ -97,21 +125,18 @@ fn corr_body(
 ) {
     let n = scalars.usize(0);
     let j1 = item.global[0];
-    let data = ins.get(0);
+    let row = corr_row(ins.get(0), n, j1);
     let symmat = outs.at(0);
     symmat[j1 * n + j1] = 1.0;
-    for j2 in (j1 + 1)..n {
-        let mut acc = 0.0f32;
-        for k in 0..n {
-            acc += data[k * n + j1] * data[k * n + j2];
-        }
+    for (j2, acc) in ((j1 + 1)..n).zip(row) {
         symmat[j1 * n + j2] = acc;
         symmat[j2 * n + j1] = acc;
     }
 }
 
 /// Builds the CORR program for problem size `n`. The correlation kernel
-/// carries the loop-interchanged alternate version for online profiling.
+/// carries the loop-interchanged alternate version for online profiling:
+/// the same body under a different cost profile.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
     p.register(KernelDef::new(
@@ -268,22 +293,26 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
 pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut data = gen_positive(n * n, seed);
     let nf = n as f32;
+    // Column sums accumulate row by row: each column still sums over `i`
+    // in increasing order, so the results match the kernels' column walks.
     let mut mean = vec![0.0f32; n];
-    for (j, m) in mean.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            acc += data[i * n + j];
+    for row in data.chunks_exact(n) {
+        for (m, &x) in mean.iter_mut().zip(row) {
+            *m += x;
         }
-        *m = acc / nf;
+    }
+    for m in &mut mean {
+        *m /= nf;
     }
     let mut std = vec![0.0f32; n];
-    for (j, s) in std.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            let d = data[i * n + j] - mean[j];
-            acc += d * d;
+    for row in data.chunks_exact(n) {
+        for ((s, &x), &m) in std.iter_mut().zip(row).zip(&mean) {
+            let d = x - m;
+            *s += d * d;
         }
-        let sd = (acc / nf).sqrt();
+    }
+    for s in &mut std {
+        let sd = (*s / nf).sqrt();
         *s = if sd <= EPS { 1.0 } else { sd };
     }
     for i in 0..n {
@@ -294,11 +323,7 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut symmat = vec![0.0f32; n * n];
     for j1 in 0..n {
         symmat[j1 * n + j1] = 1.0;
-        for j2 in (j1 + 1)..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += data[k * n + j1] * data[k * n + j2];
-            }
+        for (j2, acc) in ((j1 + 1)..n).zip(corr_row(&data, n, j1)) {
             symmat[j1 * n + j2] = acc;
             symmat[j2 * n + j1] = acc;
         }

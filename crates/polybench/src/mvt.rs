@@ -12,6 +12,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
+use crate::linalg::column_matvec;
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 4096;
@@ -68,30 +69,40 @@ pub fn program(n: usize) -> Program {
             outs.at(0)[i] += acc;
         },
     ));
-    p.register(KernelDef::new(
-        "mvt_x2",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("y2", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("x2", ArgRole::InOut).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_x2(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let i = item.global[0];
-            let a = ins.get(0);
-            let y2 = ins.get(1);
-            let mut acc = 0.0f32;
-            for j in 0..n {
-                acc += a[j * n + i] * y2[j];
+    p.register(
+        KernelDef::new(
+            "mvt_x2",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("y2", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("x2", ArgRole::InOut).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_x2(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let i = item.global[0];
+                let a = ins.get(0);
+                let y2 = ins.get(1);
+                let mut acc = 0.0f32;
+                for j in 0..n {
+                    acc += a[j * n + i] * y2[j];
+                }
+                outs.at(0)[i] += acc;
+            },
+        )
+        // The group's columns in one pass down the rows of `a`.
+        .with_group_body(|wg, scalars, ins, outs| {
+            let cols = wg.global_range(0);
+            let acc = column_matvec(ins.get(0), ins.get(1), scalars.usize(0), cols.clone());
+            for (x, s) in outs.at(0)[cols].iter_mut().zip(acc) {
+                *x += s;
             }
-            outs.at(0)[i] += acc;
-        },
-    ));
+        }),
+    );
     p
 }
 
@@ -157,11 +168,7 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
         }
         *v += acc;
     }
-    for (i, v) in x2.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for j in 0..n {
-            acc += a[j * n + i] * y2[j];
-        }
+    for (v, acc) in x2.iter_mut().zip(column_matvec(&a, &y2, n, 0..n)) {
         *v += acc;
     }
     vec![x1, x2]

@@ -15,10 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::exec::Launch;
+use crate::exec::{run_group, with_launch_buffers, Launch};
 use crate::kernel::{Inputs, Outputs};
-use crate::ndrange::for_each_item_in_group;
-use crate::{BufferId, ClError, ClResult, Memory};
+use crate::{ClResult, Memory};
 
 /// Elements one work-group wrote to one output buffer: index → stored bit
 /// pattern (`f32::to_bits`, so `NaN`s and signed zeros compare exactly).
@@ -50,8 +49,10 @@ impl AccessRecord {
 /// recording per-group write sets and input-read flags.
 ///
 /// Semantically identical to `execute_groups` (the same values end up in
-/// `mem`), just slower: every group pays a snapshot + diff over the output
-/// buffers, so this is a debugging/verification tool, not an execution path.
+/// `mem`, through the same per-group dispatch, so a version's group body is
+/// what gets recorded), just slower: every group pays a diff over the
+/// output buffers, so this is a debugging/verification tool, not an
+/// execution path.
 ///
 /// # Errors
 ///
@@ -63,59 +64,20 @@ pub fn execute_groups_shadowed(
     from: u64,
     to: u64,
 ) -> ClResult<AccessRecord> {
-    let total = launch.ndrange.num_groups();
-    if from > to || to > total {
-        return Err(ClError::InvalidNdRange(format!(
-            "group range {from}..{to} exceeds {total} groups"
-        )));
-    }
-    let (in_ids, out_ids, scalars) = launch.kernel.classify_args(&launch.args)?;
-    let version = launch
-        .kernel
-        .versions()
-        .get(launch.version)
-        .unwrap_or_else(|| launch.kernel.default_version());
-
-    let mut taken: Vec<(BufferId, Vec<f32>)> = Vec::with_capacity(out_ids.len());
-    for id in &out_ids {
-        match mem.take(*id) {
-            Ok(v) => taken.push((*id, v)),
-            Err(e) => {
-                for (id, v) in taken {
-                    mem.install(id, v);
-                }
-                return Err(e);
-            }
-        }
-    }
-    let result = (|| -> ClResult<AccessRecord> {
-        let mut in_slices = Vec::with_capacity(in_ids.len());
-        for id in &in_ids {
-            in_slices.push(mem.get(*id)?);
-        }
-        let ins = Inputs::with_read_tracking(in_slices);
-        let mut out_slices: Vec<&mut [f32]> =
-            taken.iter_mut().map(|(_, v)| v.as_mut_slice()).collect();
-        let mut outs = Outputs::new(std::mem::take(&mut out_slices));
-        let body = &version.body;
+    with_launch_buffers(launch, mem, from, to, |plan, ins, mut outs| {
+        let ins = Inputs::with_read_tracking(ins);
         let mut shadow = ShadowMemory::capture(&outs);
-        let mut groups = Vec::with_capacity((to - from) as usize);
-        for flat in from..to {
-            let group = launch.ndrange.unflatten_group(flat);
-            for_each_item_in_group(&launch.ndrange, group, |item| {
-                body(item, &scalars, &ins, &mut outs);
-            });
-            groups.push((flat, shadow.diff_and_advance(&outs)));
-        }
-        Ok(AccessRecord {
+        let groups = (from..to)
+            .map(|flat| {
+                run_group(launch, &plan.scalars, flat, &ins, &mut outs);
+                (flat, shadow.diff_and_advance(&outs))
+            })
+            .collect();
+        AccessRecord {
             groups,
             inputs_read: ins.reads().expect("tracking inputs carry flags"),
-        })
-    })();
-    for (id, v) in taken {
-        mem.install(id, v);
-    }
-    result
+        }
+    })
 }
 
 /// Snapshot of every output buffer, advanced group by group so each diff
@@ -160,7 +122,7 @@ mod tests {
     use super::*;
     use crate::exec::execute_groups;
     use crate::kernel::{ArgRole, ArgSpec, KernelDef};
-    use crate::{KernelArg, NdRange};
+    use crate::{BufferId, ClError, KernelArg, NdRange};
     use fluidicl_hetsim::KernelProfile;
 
     fn scale_kernel() -> Arc<KernelDef> {

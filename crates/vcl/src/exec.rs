@@ -6,12 +6,17 @@
 //! or merging bugs therefore corrupt real output and are caught by the
 //! benchmark validation against sequential references — the timing models
 //! only decide *when* things happen, never *what* is computed.
+//!
+//! Work-groups run one at a time, each through its kernel version's
+//! work-group body when the version has one and through the per-item body
+//! otherwise (like the paper's CPU runtime, which runs one work-group as one
+//! thread). The choice is automatic; both give bit-identical results.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::kernel::{Inputs, KernelDef, Outputs, Scalars};
 use crate::ndrange::for_each_item_in_group;
-use crate::{BufferId, ClError, ClResult, KernelArg, Memory, NdRange};
+use crate::{BufferId, ClError, ClResult, KernelArg, Memory, NdRange, WorkGroup};
 
 /// The launch-wide execution plan: the argument classification that every
 /// wave and subkernel of one launch shares.
@@ -115,6 +120,25 @@ impl Launch {
 /// Returns an error if the arguments do not match the kernel signature, a
 /// buffer is missing from `mem`, or the range is out of bounds.
 pub fn execute_groups(launch: &Launch, mem: &mut Memory, from: u64, to: u64) -> ClResult<()> {
+    with_launch_buffers(launch, mem, from, to, |plan, ins, mut outs| {
+        let ins = Inputs::new(ins);
+        for flat in from..to {
+            run_group(launch, &plan.scalars, flat, &ins, &mut outs);
+        }
+    })
+}
+
+/// Lends `f` the buffers of `launch`, after checking that `[from, to)` is
+/// within its NDRange: the `In` buffers borrowed from `mem` and the
+/// `Out`/`InOut` buffers moved out of it (split borrows), each in signature
+/// order. The outputs go back into `mem` afterwards, also on error.
+pub(crate) fn with_launch_buffers<R>(
+    launch: &Launch,
+    mem: &mut Memory,
+    from: u64,
+    to: u64,
+    f: impl FnOnce(&LaunchPlan, Vec<&[f32]>, Outputs<'_>) -> R,
+) -> ClResult<R> {
     let total = launch.ndrange.num_groups();
     if from > to || to > total {
         return Err(ClError::InvalidNdRange(format!(
@@ -122,30 +146,43 @@ pub fn execute_groups(launch: &Launch, mem: &mut Memory, from: u64, to: u64) -> 
         )));
     }
     let plan = launch.plan()?;
-    let version = launch.resolved_version();
-
-    // Split borrows: move output buffers out of the memory map, then borrow
-    // inputs immutably from what remains.
     let mut taken = take_outputs(mem, &plan.outs)?;
-    let result = (|| -> ClResult<()> {
-        let mut in_slices = Vec::with_capacity(plan.ins.len());
-        for id in &plan.ins {
-            in_slices.push(mem.get(*id)?);
-        }
-        let ins = Inputs::new(in_slices);
-        let mut outs = Outputs::new(taken.iter_mut().map(|(_, v)| v.as_mut_slice()).collect());
-        for flat in from..to {
-            let group = launch.ndrange.unflatten_group(flat);
-            for_each_item_in_group(&launch.ndrange, group, |item| {
-                (version.body)(item, &plan.scalars, &ins, &mut outs);
-            });
-        }
-        Ok(())
-    })();
+    let ins: ClResult<Vec<&[f32]>> = plan.ins.iter().map(|id| mem.get(*id)).collect();
+    let result = ins.map(|ins| {
+        let outs = Outputs::new(taken.iter_mut().map(|(_, v)| v.as_mut_slice()).collect());
+        f(plan, ins, outs)
+    });
     for (id, v) in taken {
         mem.install(id, v);
     }
     result
+}
+
+/// Runs flattened work-group `flat` of `launch`: the resolved version's
+/// group body when it has one, otherwise its per-item body once per
+/// work-item. Every functional execution, sanitized or not, dispatches
+/// here, so the sanitizer checks the code that actually runs.
+pub(crate) fn run_group(
+    launch: &Launch,
+    scalars: &Scalars,
+    flat: u64,
+    ins: &Inputs<'_>,
+    outs: &mut Outputs<'_>,
+) {
+    let version = launch.resolved_version();
+    let group = launch.ndrange.unflatten_group(flat);
+    match &version.group_body {
+        Some(body) => {
+            let wg = WorkGroup {
+                group,
+                local_size: launch.ndrange.local(),
+            };
+            body(&wg, scalars, ins, outs);
+        }
+        None => for_each_item_in_group(&launch.ndrange, group, |item| {
+            (version.body)(item, scalars, ins, outs);
+        }),
+    }
 }
 
 /// Removes the output buffers from `mem` in signature order, restoring any

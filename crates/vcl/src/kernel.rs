@@ -7,6 +7,10 @@
 //! (paper §4.1) provides in the original system: it tells the runtime which
 //! buffers a kernel modifies (`out`/`inout`) and therefore which buffers
 //! need extra copies, merging and device-to-host transfers.
+//!
+//! A version may also carry a work-group body ([`GroupBody`]) that computes
+//! a whole work-group at once; the executor runs it in place of the
+//! per-item loop, and the per-item body stays the kernel's definition.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,7 +19,7 @@ use std::sync::Arc;
 use fluidicl_hetsim::KernelProfile;
 
 use crate::footprint::AccessPattern;
-use crate::{BufferId, ClError, ClResult, WorkItem};
+use crate::{BufferId, ClError, ClResult, WorkGroup, WorkItem};
 
 /// Role of one kernel argument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -289,6 +293,17 @@ impl<'a> Outputs<'a> {
 /// Per-work-item kernel function.
 pub type KernelBody = dyn Fn(&WorkItem, &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync;
 
+/// Work-group kernel function: computes every work-item of one work-group
+/// in one call, leaving bit-for-bit what the per-item body leaves when run
+/// over the same items.
+///
+/// This is how the paper's CPU side runs a kernel (one work-group per
+/// thread, its items in one loop nest), and it lets a body interchange
+/// loops across the group's items, e.g. walk a matrix by rows where each
+/// item walks one column. Cost models charge by work-group either way, so
+/// a group body changes host time only, never virtual time.
+pub type GroupBody = dyn Fn(&WorkGroup, &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync;
+
 /// One implementation of a kernel: a body plus its cost profile.
 ///
 /// FluidiCL's online profiling (paper §6.6) selects among several versions
@@ -298,8 +313,11 @@ pub type KernelBody = dyn Fn(&WorkItem, &Scalars, &Inputs<'_>, &mut Outputs<'_>)
 pub struct KernelVersion {
     /// Human-readable label ("baseline", "loop-interchanged", ...).
     pub label: String,
-    /// Per-work-item function.
+    /// Per-work-item function: the definition of this version.
     pub body: Arc<KernelBody>,
+    /// Optional work-group function with the same results as `body`;
+    /// execution uses it whenever present.
+    pub group_body: Option<Arc<GroupBody>>,
     /// Cost profile of this implementation.
     pub profile: KernelProfile,
 }
@@ -308,6 +326,7 @@ impl fmt::Debug for KernelVersion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("KernelVersion")
             .field("label", &self.label)
+            .field("group_body", &self.group_body.is_some())
             .field("profile", &self.profile)
             .finish_non_exhaustive()
     }
@@ -335,6 +354,7 @@ impl KernelDef {
             versions: vec![KernelVersion {
                 label: "baseline".to_string(),
                 body: Arc::new(body),
+                group_body: None,
                 profile,
             }],
         }
@@ -352,8 +372,25 @@ impl KernelDef {
         self.versions.push(KernelVersion {
             label: label.into(),
             body: Arc::new(body),
+            group_body: None,
             profile,
         });
+        self
+    }
+
+    /// Gives the most recently added version a work-group body
+    /// ([`GroupBody`]), which execution then runs in place of calling the
+    /// per-item body once per work-item. The per-item body remains the
+    /// definition the group body must reproduce bit for bit.
+    #[must_use]
+    pub fn with_group_body(
+        mut self,
+        body: impl Fn(&WorkGroup, &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync + 'static,
+    ) -> Self {
+        self.versions
+            .last_mut()
+            .expect("a kernel has at least one version")
+            .group_body = Some(Arc::new(body));
         self
     }
 
@@ -570,6 +607,15 @@ mod tests {
         assert_eq!(k.versions().len(), 2);
         assert_eq!(k.default_version().label, "baseline");
         assert_eq!(k.versions()[1].label, "alt");
+    }
+
+    #[test]
+    fn group_body_attaches_to_the_last_version() {
+        let k = copy_kernel()
+            .with_version("alt", KernelProfile::new("copy-alt"), |_, _, _, _| {})
+            .with_group_body(|_, _, _, _| {});
+        assert!(k.default_version().group_body.is_none());
+        assert!(k.versions()[1].group_body.is_some());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   [`diff_merge`] coherence primitive of paper §4.3;
 //! * [`KernelDef`] / [`Program`] — kernels as per-work-item Rust closures
 //!   with declared `in`/`out`/`inout` signatures, cost profiles, and
-//!   alternate versions for online profiling (paper §6.6);
+//!   alternate versions for online profiling (paper §6.6); a version may add
+//!   an optional work-group body ([`GroupBody`]) with the same results;
 //! * [`exec`] — the functional executor that really computes kernel results
 //!   for any flattened work-group range, so partitioning bugs corrupt real
-//!   data;
+//!   data; it runs a version's group body whenever it has one;
 //! * [`access`] — a shadow-memory layer over the executor recording
 //!   per-work-group read/write sets for the `fluidicl-check` sanitizer;
 //! * [`CommandQueue`] / [`Event`] / [`Platform`] — in-order command queues
@@ -53,13 +54,13 @@ pub use exec::{execute_groups_injected, Launch, LaunchPlan};
 pub use fault::{payload_checksum, FaultInjector, FaultKind, FaultPlan, TransferFate};
 pub use footprint::{AccessPattern, RangeFn};
 pub use kernel::{
-    ArgRole, ArgSpec, Inputs, KernelArg, KernelBody, KernelDef, KernelVersion, Outputs, Program,
-    Scalars,
+    ArgRole, ArgSpec, GroupBody, Inputs, KernelArg, KernelBody, KernelDef, KernelVersion, Outputs,
+    Program, Scalars,
 };
 pub use memory::{
     diff_merge, diff_merge_paged, diff_merge_ranged, diff_merge_tracked, BufferId, Memory,
 };
-pub use ndrange::{NdRange, WorkItem};
+pub use ndrange::{NdRange, WorkGroup, WorkItem};
 pub use queue::{CommandQueue, Event, Platform};
 pub use simd::{set_simd_enabled, simd_active};
 pub use single::SingleDeviceRuntime;

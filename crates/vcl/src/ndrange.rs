@@ -212,6 +212,28 @@ impl WorkItem {
     }
 }
 
+/// Identity of one work-group during functional kernel execution, as seen
+/// by a work-group body ([`crate::GroupBody`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WorkGroup {
+    /// Work-group coordinates.
+    pub group: [usize; 3],
+    /// Work-group size.
+    pub local_size: [usize; 3],
+}
+
+impl WorkGroup {
+    /// Global work-item indices the group covers in dimension `dim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is not 0, 1 or 2.
+    pub fn global_range(&self, dim: usize) -> std::ops::Range<usize> {
+        let start = self.group[dim] * self.local_size[dim];
+        start..start + self.local_size[dim]
+    }
+}
+
 /// Iterates every work-item of one work-group, invoking `f`.
 pub(crate) fn for_each_item_in_group(
     nd: &NdRange,
@@ -327,6 +349,22 @@ mod tests {
         assert_eq!(seen.len(), 4);
         assert!(seen.contains(&[2, 2, 0]));
         assert!(seen.contains(&[3, 3, 0]));
+    }
+
+    #[test]
+    fn group_range_covers_its_items() {
+        let nd = NdRange::d2(8, 6, 4, 3).unwrap();
+        let wg = WorkGroup {
+            group: [1, 1, 0],
+            local_size: nd.local(),
+        };
+        let mut seen = Vec::new();
+        for_each_item_in_group(&nd, wg.group, |it| seen.push((it.global[0], it.global[1])));
+        let want: Vec<_> = wg
+            .global_range(1)
+            .flat_map(|y| wg.global_range(0).map(move |x| (x, y)))
+            .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]
